@@ -2,9 +2,11 @@
 //
 // Measures the scanline engine on orthogonal and all-angle polygon soups of
 // growing size, for OR / AND / XOR, plus the trapezoid and polygon output
-// paths. Complexity is expected near O(n log n) in edges for sparse
-// overlap, degrading toward O(n^2) splitting for pathological all-angle
-// crossing storms (documented engine property, DESIGN.md decision 3).
+// paths. Edge splitting is near-linear for sparse overlap, degrading toward
+// O(n^2) for all-angle crossing storms. The band sweep costs the size of the
+// band decomposition (the active segments summed over bands), which grows
+// about as n^1.5 on these square soups: ~n bands each cross ~sqrt(n) shapes.
+// The cost model is in src/geom/boolean.h and docs/architecture.md.
 #include <benchmark/benchmark.h>
 
 #include "core/patterns.h"

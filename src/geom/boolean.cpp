@@ -1,7 +1,7 @@
 #include "geom/boolean.h"
 
 #include <algorithm>
-#include <map>
+#include <limits>
 
 #include "geom/edge.h"
 #include "util/contracts.h"
@@ -70,87 +70,157 @@ void BooleanEngine::add(const Trapezoid& trap, int group) {
 }
 
 std::vector<BooleanEngine::Seg> BooleanEngine::split_segments() const {
-  std::vector<Seg> segs = segs_;
+  // A segment is fresh in the round that first sees it: every input segment
+  // in round 0, afterwards only the pieces of segments cut in the round
+  // before. Two segments that both went uncut were already tested against
+  // each other without a cut and cannot give one now, so every round tests
+  // only pairs with a fresh member.
+  struct Piece {
+    Seg seg;
+    bool fresh;
+  };
+  std::vector<Piece> segs;
+  segs.reserve(segs_.size());
+  for (const Seg& s : segs_) segs.push_back({s, true});
   stats_ = BooleanStats{};
   stats_.input_edges = segs.size();
+  if (segs.empty()) return {};
+
+  std::vector<std::size_t> col_start, col_segs;  // x-column -> segments (CSR)
 
   constexpr int kMaxRounds = 32;
   for (int round = 0; round < kMaxRounds; ++round) {
     stats_.split_rounds = static_cast<std::size_t>(round);
     // Sweep & prune on y: sort by lo.y, pair up while y-ranges overlap.
-    std::sort(segs.begin(), segs.end(), [](const Seg& a, const Seg& b) {
-      if (a.lo.y != b.lo.y) return a.lo.y < b.lo.y;
-      return a.lo.x < b.lo.x;
+    std::sort(segs.begin(), segs.end(), [](const Piece& a, const Piece& b) {
+      if (a.seg.lo.y != b.seg.lo.y) return a.seg.lo.y < b.seg.lo.y;
+      return a.seg.lo.x < b.seg.lo.x;
     });
 
-    std::vector<std::vector<Point>> cuts(segs.size());
+    // Prune on x too: cut the x-range into columns and file every segment
+    // under each column its x-range meets, in sorted order. A pair whose
+    // boxes touch shares the column holding the left end of its x-overlap
+    // and is tested there only. A column is at least as wide as the mean
+    // segment, so a segment lands in about two columns on average, and there
+    // are at most about as many columns as segments.
+    const std::size_t n = segs.size();
+    Coord64 x_min = std::numeric_limits<Coord64>::max();
+    Coord64 x_max = std::numeric_limits<Coord64>::min();
+    Coord64 width_sum = 0;
+    for (const Piece& p : segs) {
+      const Coord64 lo = std::min(p.seg.lo.x, p.seg.hi.x);
+      const Coord64 hi = std::max(p.seg.lo.x, p.seg.hi.x);
+      x_min = std::min(x_min, lo);
+      x_max = std::max(x_max, hi);
+      width_sum += hi - lo;
+    }
+    const Coord64 count = static_cast<Coord64>(n);
+    const Coord64 span = x_max - x_min + 1;
+    const Coord64 col_width = std::max<Coord64>({1, width_sum / count, span / count});
+    const std::size_t n_cols = static_cast<std::size_t>((span - 1) / col_width + 1);
+    const auto col_of = [&](Coord64 x) {
+      return static_cast<std::size_t>((x - x_min) / col_width);
+    };
+    const auto x_lo = [&](std::size_t i) { return std::min(segs[i].seg.lo.x, segs[i].seg.hi.x); };
+    const auto x_hi = [&](std::size_t i) { return std::max(segs[i].seg.lo.x, segs[i].seg.hi.x); };
+    const auto for_each_col = [&](std::size_t i, auto&& f) {
+      for (std::size_t c = col_of(x_lo(i)), e = col_of(x_hi(i)); c <= e; ++c) f(c);
+    };
+
+    col_start.assign(n_cols + 1, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      for_each_col(i, [&](std::size_t c) { ++col_start[c + 1]; });
+    }
+    for (std::size_t c = 0; c < n_cols; ++c) col_start[c + 1] += col_start[c];
+    col_segs.resize(col_start[n_cols]);
+    std::vector<std::size_t> fill(col_start.begin(), col_start.end() - 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      for_each_col(i, [&](std::size_t c) { col_segs[fill[c]++] = i; });
+    }
+
+    std::vector<std::vector<Point>> cuts(n);
     bool any_cut = false;
 
     auto note_cut = [&](std::size_t idx, Point p) {
-      const Seg& s = segs[idx];
+      const Seg& s = segs[idx].seg;
       if (p.y <= s.lo.y || p.y >= s.hi.y) return;  // must split strictly inside in y
       cuts[idx].push_back(p);
       any_cut = true;
     };
 
-    for (std::size_t i = 0; i < segs.size(); ++i) {
-      const Edge ei{segs[i].lo, segs[i].hi};
-      const Box bi = ei.bbox();
-      for (std::size_t j = i + 1; j < segs.size(); ++j) {
-        if (segs[j].lo.y > segs[i].hi.y) break;  // sorted by lo.y
-        const Edge ej{segs[j].lo, segs[j].hi};
-        if (!bi.touches(ej.bbox())) continue;
-        switch (classify_intersection(ei, ej)) {
-          case SegCross::none:
-            break;
-          case SegCross::proper: {
-            const Point p = intersection_point(ei, ej);
-            note_cut(i, p);
-            note_cut(j, p);
-            break;
-          }
-          case SegCross::touch: {
-            // T-junction: split the segment whose interior is touched.
-            if (ei.contains(ej.a)) note_cut(i, ej.a);
-            if (ei.contains(ej.b)) note_cut(i, ej.b);
-            if (ej.contains(ei.a)) note_cut(j, ei.a);
-            if (ej.contains(ei.b)) note_cut(j, ei.b);
-            break;
-          }
-          case SegCross::overlap: {
-            note_cut(i, ej.a);
-            note_cut(i, ej.b);
-            note_cut(j, ei.a);
-            note_cut(j, ei.b);
-            break;
-          }
+    // Tests the pair (i, j), i < j in sorted order: intersection_point is
+    // anchored at its first edge, so the orientation is part of the result.
+    // Two uncut segments keep their relative order from round to round
+    // unless they share their lower end, and then the test is symmetric.
+    const auto test_pair = [&](std::size_t i, std::size_t j, std::size_t col) {
+      const Edge ei{segs[i].seg.lo, segs[i].seg.hi};
+      const Edge ej{segs[j].seg.lo, segs[j].seg.hi};
+      const Coord left = std::max(x_lo(i), x_lo(j));
+      if (left > std::min(x_hi(i), x_hi(j)) || col_of(left) != col) return;
+      switch (classify_intersection(ei, ej)) {
+        case SegCross::none:
+          break;
+        case SegCross::proper: {
+          const Point p = intersection_point(ei, ej);
+          note_cut(i, p);
+          note_cut(j, p);
+          break;
+        }
+        case SegCross::touch: {
+          // T-junction: split the segment whose interior is touched.
+          if (ei.contains(ej.a)) note_cut(i, ej.a);
+          if (ei.contains(ej.b)) note_cut(i, ej.b);
+          if (ej.contains(ei.a)) note_cut(j, ei.a);
+          if (ej.contains(ei.b)) note_cut(j, ei.b);
+          break;
+        }
+        case SegCross::overlap: {
+          note_cut(i, ej.a);
+          note_cut(i, ej.b);
+          note_cut(j, ei.a);
+          note_cut(j, ei.b);
+          break;
+        }
+      }
+    };
+
+    for (std::size_t c = 0; c < n_cols; ++c) {
+      const std::size_t* end = col_segs.data() + col_start[c + 1];
+      for (const std::size_t* a = col_segs.data() + col_start[c]; a != end; ++a) {
+        const std::size_t i = *a;
+        for (const std::size_t* b = a + 1; b != end; ++b) {
+          if (segs[*b].seg.lo.y > segs[i].seg.hi.y) break;  // sorted by lo.y
+          if (segs[i].fresh || segs[*b].fresh) test_pair(i, *b, c);
         }
       }
     }
 
     if (!any_cut) {
-      stats_.split_edges = segs.size();
-      return segs;
+      stats_.split_edges = n;
+      std::vector<Seg> out;
+      out.reserve(n);
+      for (const Piece& p : segs) out.push_back(p.seg);
+      return out;
     }
 
-    std::vector<Seg> next;
-    next.reserve(segs.size() + 16);
-    for (std::size_t i = 0; i < segs.size(); ++i) {
+    std::vector<Piece> next;
+    next.reserve(n + 16);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Seg& s = segs[i].seg;
       if (cuts[i].empty()) {
-        next.push_back(segs[i]);
+        next.push_back({s, false});
         continue;
       }
       auto& cs = cuts[i];
       std::sort(cs.begin(), cs.end(),
                 [](Point a, Point b) { return a.y != b.y ? a.y < b.y : a.x < b.x; });
       cs.erase(std::unique(cs.begin(), cs.end()), cs.end());
-      Point prev = segs[i].lo;
+      Point prev = s.lo;
       for (Point c : cs) {
-        if (c.y > prev.y) next.push_back({prev, c, segs[i].weight, segs[i].group});
+        if (c.y > prev.y) next.push_back({{prev, c, s.weight, s.group}, true});
         if (c.y >= prev.y) prev = c;  // horizontal residue is dropped
       }
-      if (segs[i].hi.y > prev.y)
-        next.push_back({prev, segs[i].hi, segs[i].weight, segs[i].group});
+      if (s.hi.y > prev.y) next.push_back({{prev, s.hi, s.weight, s.group}, true});
     }
     segs = std::move(next);
   }
@@ -201,36 +271,61 @@ std::vector<Band> BooleanEngine::bands(BoolOp op) const {
     return lhs < rhs ? -1 : (lhs > rhs ? 1 : 0);
   };
 
+  // Exact order by (x@y0, x@y1): crossings were removed, so this is a
+  // consistent order within the band, and the segment index makes it a
+  // strict total order (coincident segments: deterministic tie-break).
+  struct Entry {
+    std::size_t seg;
+    RatX x0, x1;
+  };
+  const auto before = [&](const Entry& a, const Entry& b) {
+    if (const int c = rat_cmp(a.x0, b.x0); c != 0) return c < 0;
+    if (const int c = rat_cmp(a.x1, b.x1); c != 0) return c < 0;
+    return a.seg < b.seg;
+  };
+
   std::vector<Band> result;
-  std::vector<std::size_t> active;   // indices into segs
+  std::vector<Entry> order;  // active segments, carried from band to band
+  std::vector<Entry> starting;
   std::size_t next_seg = 0;
 
   for (std::size_t bi = 0; bi + 1 < ys.size(); ++bi) {
     const Coord y0 = ys[bi];
     const Coord y1 = ys[bi + 1];
 
-    // Activate segments starting at y0; retire segments ending at or below y0.
-    while (next_seg < segs.size() && segs[next_seg].lo.y <= y0) {
-      active.push_back(next_seg);
-      ++next_seg;
+    // Retire segments ending at y0. The others were ordered for the band
+    // below, whose top is y0: their x@y1 there is their x@y0 here. Segments
+    // only cross at band edges (or below the grid), so the carried order is
+    // nearly right and an insertion pass repairs it; the order is strict and
+    // total, so this is exactly the order a full sort gives.
+    std::erase_if(order, [&](const Entry& e) { return segs[e.seg].hi.y <= y0; });
+    for (Entry& e : order) {
+      e.x0 = e.x1;
+      e.x1 = rat_x(segs[e.seg], y1);
     }
-    std::erase_if(active, [&](std::size_t i) { return segs[i].hi.y <= y0; });
-    if (active.empty()) continue;
+    for (std::size_t k = 1; k < order.size(); ++k) {
+      if (!before(order[k], order[k - 1])) continue;
+      const Entry e = order[k];
+      std::size_t m = k;
+      do {
+        order[m] = order[m - 1];
+        --m;
+      } while (m > 0 && before(e, order[m - 1]));
+      order[m] = e;
+    }
 
-    // Exact order by (x@y0, x@y1): crossings were removed, so this is a
-    // consistent total order within the band.
-    struct Entry {
-      std::size_t seg;
-      RatX x0, x1;
-    };
-    std::vector<Entry> order;
-    order.reserve(active.size());
-    for (std::size_t i : active) order.push_back({i, rat_x(segs[i], y0), rat_x(segs[i], y1)});
-    std::sort(order.begin(), order.end(), [&](const Entry& a, const Entry& b) {
-      if (const int c = rat_cmp(a.x0, b.x0); c != 0) return c < 0;
-      if (const int c = rat_cmp(a.x1, b.x1); c != 0) return c < 0;
-      return a.seg < b.seg;  // coincident segments: deterministic tie-break
-    });
+    // Activate segments starting at y0 and merge them in.
+    starting.clear();
+    for (; next_seg < segs.size() && segs[next_seg].lo.y <= y0; ++next_seg)
+      starting.push_back({next_seg, rat_x(segs[next_seg], y0), rat_x(segs[next_seg], y1)});
+    if (!starting.empty()) {
+      std::sort(starting.begin(), starting.end(), before);
+      const std::size_t carried = order.size();
+      order.insert(order.end(), starting.begin(), starting.end());
+      std::inplace_merge(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(carried),
+                         order.end(), before);
+    }
+    if (order.empty()) continue;
 
     Band band;
     band.y0 = y0;
@@ -326,27 +421,39 @@ std::vector<Trapezoid> merge_trapezoids_vertically(const std::vector<Band>& band
     return left && right;
   };
 
+  // A growing trapezoid continues into an interval whose bottom edge
+  // (xl0, xr0) is its top edge. The intervals of a band are sorted by that
+  // key, so the candidates are one equal range, found by binary search.
+  const auto bottom_less = [](const BandInterval& a, const BandInterval& b) {
+    return a.xl0 != b.xl0 ? a.xl0 < b.xl0 : a.xr0 < b.xr0;
+  };
+
   for (const Band& band : bands) {
+    const std::vector<BandInterval>& ivs = band.intervals;
+    expects(std::is_sorted(ivs.begin(), ivs.end(), bottom_less),
+            "merge_trapezoids_vertically: band intervals must be sorted left to right");
     std::vector<Growing> next_grow;
-    std::vector<bool> used(band.intervals.size(), false);
+    std::vector<bool> used(ivs.size(), false);
     for (const Growing& g : grow) {
       bool extended = false;
       if (g.t.y1 == band.y0) {
-        for (std::size_t i = 0; i < band.intervals.size(); ++i) {
+        BandInterval key{};
+        key.xl0 = g.t.xl1;
+        key.xr0 = g.t.xr1;
+        const auto range = std::equal_range(ivs.begin(), ivs.end(), key, bottom_less);
+        // First unused match in index order.
+        for (auto it = range.first; it != range.second; ++it) {
+          const std::size_t i = static_cast<std::size_t>(it - ivs.begin());
           if (used[i]) continue;
-          const BandInterval& iv = band.intervals[i];
+          const BandInterval& iv = *it;
+          // Same supporting segments: both bands rounded the same rational,
+          // so the sides are straight by construction. Otherwise the
+          // rounded sides must be collinear.
           const bool same_segs = g.left_seg >= 0 && g.left_seg == iv.left_seg &&
                                  g.right_seg >= 0 && g.right_seg == iv.right_seg;
           if (!same_segs) {
-            if (iv.xl0 != g.t.xl1 || iv.xr0 != g.t.xr1) continue;
             const Trapezoid cand{band.y0, band.y1, iv.xl0, iv.xr0, iv.xl1, iv.xr1};
             if (!collinear_sides(g.t, cand)) continue;
-          } else {
-            // Same supporting segments: the boundary must be contiguous in
-            // rounded space too (it is, both bands rounded the same
-            // rational), but intervals in the same band could reuse a
-            // segment after a coalescing repair — keep the contiguity check.
-            if (iv.xl0 != g.t.xl1 || iv.xr0 != g.t.xr1) continue;
           }
           next_grow.push_back(
               Growing{Trapezoid{g.t.y0, band.y1, g.t.xl0, g.t.xr0, iv.xl1, iv.xr1},
@@ -358,9 +465,9 @@ std::vector<Trapezoid> merge_trapezoids_vertically(const std::vector<Band>& band
       }
       if (!extended) done.push_back(g.t);
     }
-    for (std::size_t i = 0; i < band.intervals.size(); ++i) {
+    for (std::size_t i = 0; i < ivs.size(); ++i) {
       if (used[i]) continue;
-      const BandInterval& iv = band.intervals[i];
+      const BandInterval& iv = ivs[i];
       const Trapezoid t{band.y0, band.y1, iv.xl0, iv.xr0, iv.xl1, iv.xr1};
       if (t.valid()) next_grow.push_back(Growing{t, iv.left_seg, iv.right_seg});
     }

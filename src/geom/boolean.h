@@ -8,10 +8,25 @@
 //      contribute scanline events).
 //   2. Segments are split at all mutual crossings and T-junctions with exact
 //      integer predicates; intersection points are rounded to the database
-//      grid and splitting is iterated to a fixpoint (grid snapping).
+//      grid and splitting is iterated to a fixpoint (grid snapping). Candidate
+//      pairs are the segments whose bounding boxes touch, found per x-column
+//      by a sweep on y, so each pair is tested once per round. Rounds after
+//      the first test only pairs with a piece cut in the round before: two
+//      uncut segments gave no cut and cannot give one now.
 //   3. A sweep over the y-event bands orders the (now crossing-free) segments
 //      exactly by rational x and accumulates per-group winding numbers.
-//      Maximal inside intervals become horizontal trapezoids.
+//      Maximal inside intervals become horizontal trapezoids. The order is
+//      carried from band to band: retired segments drop out, an insertion
+//      pass repairs the few swaps at band edges, and newly active segments
+//      are merged in. The order is strict and total (the segment index
+//      breaks ties), so this is exactly the order a full sort would give.
+//
+// Cost: O(n log n) sorting in the n split segments, plus the box-touching
+// pairs within a column (near-linear for layouts; dense all-angle crossing
+// storms still approach O(n^2)), plus the size of the band decomposition,
+// sum over bands of the active segments, which every band pays to emit its
+// intervals. The vertical merge finds each continuation by binary search in
+// the next band. See docs/architecture.md, section 1.
 //
 // The native output is a set of trapezoid bands — the primitive e-beam
 // machine formats want anyway. Polygon reconstruction (boundary stitching)
@@ -121,7 +136,8 @@ class BooleanEngine {
 };
 
 /// Merges vertically adjacent collinear trapezoids in a band list.
-/// Exposed for fracture-strategy experiments.
+/// Exposed for fracture-strategy experiments. The intervals of each band
+/// must be sorted by (xl0, xr0), as bands() returns them.
 std::vector<Trapezoid> merge_trapezoids_vertically(const std::vector<Band>& bands);
 
 /// Flat list of per-band trapezoids without vertical merging.

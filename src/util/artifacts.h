@@ -7,17 +7,22 @@
 #pragma once
 
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <system_error>
 
 namespace ebl {
 
 /// @p name prefixed with $EBL_ARTIFACT_DIR when set (and non-empty), else
-/// unchanged. The directory must already exist; no separators are added
-/// beyond one '/'.
+/// unchanged. A missing directory is created (with its parents); if that
+/// fails, the writer that opens the path reports the error. No separators
+/// are added beyond one '/'.
 inline std::string artifact_path(const std::string& name) {
   const char* dir = std::getenv("EBL_ARTIFACT_DIR");
   if (dir == nullptr || dir[0] == '\0') return name;
   std::string path = dir;
+  std::error_code ec;
+  std::filesystem::create_directories(path, ec);
   if (path.back() != '/') path += '/';
   return path + name;
 }

@@ -1,11 +1,18 @@
 // Tests for the utility layer: RNG determinism, CSV escaping, tables,
-// contracts.
+// contracts, artifact paths.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string>
 
+#include <unistd.h>
+
+#include "util/artifacts.h"
 #include "util/contracts.h"
 #include "util/csv.h"
 #include "util/rng.h"
@@ -114,6 +121,50 @@ TEST(Csv, HeaderTwiceThrows) {
 
 TEST(Csv, BadPathThrows) {
   EXPECT_THROW(CsvWriter("/nonexistent-dir-xyz/file.csv"), DataError);
+}
+
+// Sets EBL_ARTIFACT_DIR for one scope and restores the caller's value.
+class ScopedArtifactDir {
+ public:
+  explicit ScopedArtifactDir(const char* value) {
+    if (const char* old = std::getenv("EBL_ARTIFACT_DIR")) old_ = old;
+    if (value != nullptr) ::setenv("EBL_ARTIFACT_DIR", value, 1);
+    else ::unsetenv("EBL_ARTIFACT_DIR");
+  }
+  ~ScopedArtifactDir() {
+    if (old_) ::setenv("EBL_ARTIFACT_DIR", old_->c_str(), 1);
+    else ::unsetenv("EBL_ARTIFACT_DIR");
+  }
+
+ private:
+  std::optional<std::string> old_;
+};
+
+TEST(Artifacts, MissingDirectoryIsCreated) {
+  namespace fs = std::filesystem;
+  const fs::path root =
+      fs::temp_directory_path() / ("ebl_util_test_artifacts_" + std::to_string(::getpid()));
+  fs::remove_all(root);
+  const fs::path dir = root / "nested" / "out";
+  std::string path;
+  {
+    const ScopedArtifactDir env(dir.c_str());
+    path = artifact_path("figure.csv");
+  }
+  EXPECT_EQ(path, dir.string() + "/figure.csv");
+  EXPECT_TRUE(fs::is_directory(dir));
+  {
+    CsvWriter w(path);
+    w.header({"x"});
+    w.row(1);
+  }
+  EXPECT_TRUE(fs::exists(path));
+  fs::remove_all(root);
+}
+
+TEST(Artifacts, UnsetDirectoryLeavesNameAlone) {
+  const ScopedArtifactDir env(nullptr);
+  EXPECT_EQ(artifact_path("figure.csv"), "figure.csv");
 }
 
 TEST(Table, AlignsColumns) {
