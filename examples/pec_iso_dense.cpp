@@ -6,10 +6,10 @@
 // resist threshold — the numbers behind the classic proximity-effect
 // figure.
 //
-// The simulate_exposure calls raster at 25 nm (alpha/2), so the 3 um
-// backscatter kernel spans ~480 pixels: SimOptions::blur_backend defaults
-// to kAuto, which routes such wide kernels through the FFT convolution
-// engine (src/util/fft.h) — same result, far less time.
+// The simulate_exposure calls raster at 25 nm (alpha/2). Only the 50 nm
+// forward term is blurred at that pixel, and only near the pattern; the
+// 3 um backscatter term is blurred on a 750 nm (sigma/4) map and upsampled
+// onto the 25 nm grid, so no 480-pixel kernel is ever convolved.
 #include <iostream>
 
 #include "util/artifacts.h"

@@ -1184,6 +1184,75 @@ double ExposureEvaluator::exposure_at(double px, double py) const {
   return e;
 }
 
+void ExposureEvaluator::add_long_range(Raster& raster) const {
+  if (term_maps_.empty()) return;
+  // Bilinear interpolation is linear, so the weighted sum of the term maps
+  // is upsampled once. It is stored with a one-pixel zero border, so every
+  // interpolation reads in bounds and off-map pixels read 0.
+  const Raster& first = *term_maps_.front().map;
+  const int mx = first.width();
+  const int my = first.height();
+  const std::size_t stride = static_cast<std::size_t>(mx) + 2;
+  std::vector<double> sum(stride * (static_cast<std::size_t>(my) + 2), 0.0);
+  for (const TermMap& tm : term_maps_) {
+    const std::vector<double>& m = tm.map->data();
+    for (int y = 0; y < my; ++y) {
+      double* row = &sum[(static_cast<std::size_t>(y) + 1) * stride + 1];
+      const double* src = &m[static_cast<std::size_t>(y) * mx];
+      for (int x = 0; x < mx; ++x) row[x] += tm.term.weight * src[x];
+    }
+  }
+
+  // Per output column (row): the bordered index of the lower map neighbour
+  // and the weight of the upper one, as Raster::sample computes them.
+  struct Tap {
+    std::size_t lo;
+    double t;
+  };
+  const auto table = [&](int n, Coord out_origin, int map_n, Coord map_origin) {
+    const double out_pix = static_cast<double>(raster.pixel_size());
+    const double map_pix = static_cast<double>(first.pixel_size());
+    std::vector<Tap> taps(static_cast<std::size_t>(n));
+    for (int k = 0; k < n; ++k) {
+      const double c = out_origin + (k + 0.5) * out_pix;
+      const double f = (c - map_origin) / map_pix - 0.5;
+      const double i = std::floor(f);
+      if (i < -1.0) {
+        taps[static_cast<std::size_t>(k)] = {0, 0.0};  // both neighbours off-map
+      } else if (i > map_n - 1.0) {
+        taps[static_cast<std::size_t>(k)] = {static_cast<std::size_t>(map_n), 1.0};
+      } else {
+        taps[static_cast<std::size_t>(k)] = {static_cast<std::size_t>(i + 1.0), f - i};
+      }
+    }
+    return taps;
+  };
+  const int nx = raster.width();
+  const std::vector<Tap> xs = table(nx, raster.origin().x, mx, first.origin().x);
+  const std::vector<Tap> ys =
+      table(raster.height(), raster.origin().y, my, first.origin().y);
+
+  std::vector<double>& out = raster.data();
+  parallel_for(
+      ys.size(),
+      [&](std::size_t y0, std::size_t y1) {
+        std::vector<double> line(stride);
+        for (std::size_t y = y0; y < y1; ++y) {
+          const double ty = ys[y].t;
+          const double* r0 = &sum[ys[y].lo * stride];
+          const double* r1 = r0 + stride;
+          for (std::size_t x = 0; x < stride; ++x)
+            line[x] = (1 - ty) * r0[x] + ty * r1[x];
+          double* o = &out[y * static_cast<std::size_t>(nx)];
+          for (int x = 0; x < nx; ++x) {
+            const Tap& tx = xs[static_cast<std::size_t>(x)];
+            o[x] += (1 - tx.t) * line[tx.lo] + tx.t * line[tx.lo + 1];
+          }
+        }
+      },
+      opt_.threads);
+}
+
 void ExposureEvaluator::eval_erf(const double* x, double* y, std::size_t n) const {
   if (opt_.fast_erf) {
     erf_batch(x, y, n);

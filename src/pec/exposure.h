@@ -255,6 +255,15 @@ class ExposureEvaluator {
   double exposure_at(double px, double py) const;
   double exposure_at(Point p) const { return exposure_at(p.x, p.y); }
 
+  /// Adds the long-range part of the exposure — every long term's weighted
+  /// map, bilinearly interpolated as exposure_at samples it (map pixels
+  /// outside the map read 0) — to every pixel centre of @p raster. Agrees
+  /// with exposure_at's long-range sum to rounding; the interpolation runs
+  /// through separable per-row and per-column index/weight tables, so a fine
+  /// raster costs a few flops per pixel. Output is identical for any thread
+  /// count. No-op without long-range terms.
+  void add_long_range(Raster& raster) const;
+
   /// Exposures at every *active* shot's representative point (centroid).
   /// Runs on the thread pool; output is identical for any thread count.
   /// The short-range (analytic) part of the sweep is cached per centroid and

@@ -3,18 +3,64 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <memory>
+#include <string>
 
-#include "pec/exposure.h"  // blur kernels/backends
+#include "pec/exposure.h"  // ExposureEvaluator, blur kernels
 #include "util/contracts.h"
 
 namespace ebl {
 
+namespace {
+
+// Largest output raster the simulator allocates: 2^27 pixels (1 GiB of
+// doubles), 32x the 4.1 M pixels of the 27 um gate device at 25 nm.
+constexpr double kMaxSimPixels = 134217728.0;
+
+// Short-range terms on the fine grid, over the window they reach: the
+// pattern's pixels dilated by the widest short kernel's radius. Every pixel
+// outside it gets exactly zero from these terms, and inside it the blur with
+// zero boundaries sums the same taps in the same order as a full-frame blur.
+void add_short_range(Raster& out, const ShotList& shots, const Box& bbox,
+                     const std::vector<PsfTerm>& terms, const SimOptions& options) {
+  const Coord pixel = out.pixel_size();
+  int radius = 0;
+  for (const PsfTerm& t : terms) {
+    const std::vector<double> taps =
+        gaussian_kernel_taps(t.sigma / static_cast<double>(pixel));
+    radius = std::max(radius, static_cast<int>(taps.size()) - 1);
+  }
+  const auto [bx0, by0] = out.index_of(bbox.lo);
+  const auto [bx1, by1] = out.index_of(bbox.hi);
+  const int x0 = std::max(0, bx0 - radius);
+  const int y0 = std::max(0, by0 - radius);
+  const int x1 = std::min(out.width() - 1, bx1 + radius);
+  const int y1 = std::min(out.height() - 1, by1 + radius);
+  const Point o = out.origin();
+  Raster cover(Box{o.x + x0 * pixel, o.y + y0 * pixel, o.x + (x1 + 1) * pixel,
+                   o.y + (y1 + 1) * pixel},
+               pixel);
+  for (const Shot& s : shots) cover.add_coverage(s.shape, s.dose);
+
+  Raster blurred = cover;  // reused scratch, same geometry for every term
+  for (std::size_t t = 0; t < terms.size(); ++t) {
+    if (t > 0) blurred.data() = cover.data();
+    gaussian_blur(blurred, terms[t].sigma, options.blur_backend, options.threads);
+    const double w = terms[t].weight;
+    for (int y = 0; y < cover.height(); ++y) {
+      const double* in = &blurred.data()[static_cast<std::size_t>(y) * cover.width()];
+      double* dst = &out.at(x0, y0 + y);
+      for (int x = 0; x < cover.width(); ++x) dst[x] += w * in[x];
+    }
+  }
+}
+
+}  // namespace
+
 Raster simulate_exposure(const ShotList& shots, const Psf& psf,
                          const SimOptions& options) {
   expects(!shots.empty(), "simulate_exposure: empty shot list");
-  Box frame;
-  for (const Shot& s : shots) frame += s.shape.bbox();
+  Box bbox;
+  for (const Shot& s : shots) bbox += s.shape.bbox();
 
   const Coord margin = options.margin > 0
                            ? options.margin
@@ -24,85 +70,42 @@ Raster simulate_exposure(const ShotList& shots, const Psf& psf,
           ? options.pixel
           : std::max<Coord>(1, static_cast<Coord>(psf.min_sigma() / 2.0));
 
-  Raster base(frame.bloated(margin), pixel);
-  for (const Shot& s : shots) base.add_coverage(s.shape, s.dose);
-
-  // One truncated kernel per term; every term convolves the same dose map,
-  // so wide terms can share a single forward FFT of it. Both backends use
-  // the same taps — the backend choice never moves results beyond rounding.
-  const auto terms = psf.terms();
-  std::vector<std::vector<double>> taps;
-  taps.reserve(terms.size());
-  for (const PsfTerm& term : terms) {
-    taps.push_back(gaussian_kernel_taps(term.sigma / static_cast<double>(pixel)));
+  const Box frame = bbox.bloated(margin);
+  const double nx = std::ceil(static_cast<double>(frame.width()) / pixel);
+  const double ny = std::ceil(static_cast<double>(frame.height()) / pixel);
+  if (nx * ny > kMaxSimPixels) {
+    throw DataError("simulate_exposure: the " + std::to_string(frame.width()) +
+                    " x " + std::to_string(frame.height()) + " dbu frame at a " +
+                    std::to_string(pixel) + " dbu pixel needs " +
+                    std::to_string(static_cast<long long>(nx)) + " x " +
+                    std::to_string(static_cast<long long>(ny)) +
+                    " pixels, over the budget of " +
+                    std::to_string(static_cast<long long>(kMaxSimPixels)) +
+                    "; raise SimOptions::pixel, lower SimOptions::margin, or "
+                    "simulate the pattern in pieces");
   }
+  Raster result(frame, pixel);
 
-  // Backend per term: kAuto hands the FFT plan the widest kernels for which
-  // spectral convolution (with its shared forward transform) beats the
-  // separable passes, and keeps the rest direct. Trying the wide-kernel sets
-  // largest-first finds the largest set that pays off.
-  std::vector<bool> use_fft(terms.size(), options.blur_backend == BlurBackend::kFft);
-  if (options.blur_backend == BlurBackend::kAuto && !terms.empty()) {
-    std::vector<std::size_t> order(terms.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return taps[a].size() > taps[b].size();
-    });
-    for (std::size_t k = order.size(); k >= 1; --k) {
-      std::vector<std::size_t> radii;
-      for (std::size_t i = 0; i < k; ++i) radii.push_back(taps[order[i]].size() - 1);
-      if (fft_blur_wins(base.width(), base.height(), radii)) {
-        for (std::size_t i = 0; i < k; ++i) use_fft[order[i]] = true;
-        break;
-      }
-    }
-  }
+  // Two scales, as in ExposureEvaluator: short terms on this fine grid,
+  // long terms on the evaluator's coarse map, upsampled onto every pixel.
+  std::vector<PsfTerm> short_terms;
+  std::vector<PsfTerm> long_terms;
+  const double threshold = ExposureOptions{}.long_range_threshold;
+  for (const PsfTerm& t : psf.terms())
+    (t.sigma >= threshold ? long_terms : short_terms).push_back(t);
 
-  std::unique_ptr<FftConvolver> conv;
-  std::size_t max_radius = 0;
-  for (std::size_t t = 0; t < terms.size(); ++t) {
-    if (use_fft[t]) max_radius = std::max(max_radius, taps[t].size() - 1);
-  }
-  // All FFT terms go through one registered batch: the shared forward
-  // transform is walked once with every term's cached spectrum applied in
-  // that single pass (see FftConvolver::convolve_registered).
-  std::vector<std::size_t> fft_terms;
-  std::vector<std::vector<double>> fft_blurred;
-  if (max_radius > 0) {
-    conv = std::make_unique<FftConvolver>(base.width(), base.height(),
-                                          static_cast<int>(max_radius),
-                                          options.threads);
-    conv->load(base.data().data());
-    std::vector<int> ids;
-    std::vector<double*> outs;
-    for (std::size_t t = 0; t < terms.size(); ++t) {
-      if (!use_fft[t]) continue;
-      fft_terms.push_back(t);
-      ids.push_back(conv->add_kernel(taps[t]));
-    }
-    fft_blurred.resize(fft_terms.size());
-    for (std::vector<double>& b : fft_blurred) {
-      b.resize(base.data().size());
-      outs.push_back(b.data());
-    }
-    conv->convolve_registered(ids, outs);
-  }
-
-  Raster result(frame.bloated(margin), pixel);
-  Raster blurred = base;  // reused scratch, same geometry for every term
-  std::size_t next_fft = 0;
-  for (std::size_t t = 0; t < terms.size(); ++t) {
-    const double* in = nullptr;
-    if (use_fft[t]) {
-      in = fft_blurred[next_fft++].data();
-    } else {
-      blurred.data() = base.data();
-      separable_blur(blurred, taps[t], options.threads);
-      in = blurred.data().data();
-    }
-    auto& out = result.data();
-    const double w = terms[t].weight;
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] += w * in[i];
+  if (!short_terms.empty()) add_short_range(result, shots, bbox, short_terms, options);
+  if (!long_terms.empty()) {
+    const Psf long_psf = Psf::from_terms(std::move(long_terms));
+    ExposureOptions eo;
+    eo.threads = options.threads;
+    eo.blur_backend = options.blur_backend;
+    eo.splat_cache = false;  // one evaluation: rasterize, no cached splats
+    // The map reaches a pixel plus one finest long sigma (>= 4 map pixels)
+    // past the frame, so no pixel centre interpolates against the map edge.
+    eo.map_margin_sigmas = (static_cast<double>(margin) + pixel + long_psf.min_sigma()) /
+                           long_psf.max_sigma();
+    ExposureEvaluator(shots, long_psf, eo).add_long_range(result);
   }
   return result;
 }
@@ -147,7 +150,7 @@ std::vector<double> profile_along(const Raster& raster, Point a, Point b, int n)
 
 std::vector<double> crossings_along(const Raster& raster, double level, Point a,
                                     Point b, int samples) {
-  const std::vector<double> prof = profile_along(raster, level == 0 ? a : a, b, samples);
+  const std::vector<double> prof = profile_along(raster, a, b, samples);
   const double len = std::sqrt(static_cast<double>(distance2(a, b)));
   std::vector<double> xs;
   for (std::size_t i = 0; i + 1 < prof.size(); ++i) {

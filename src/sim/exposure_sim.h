@@ -1,4 +1,17 @@
 // Full-field exposure simulation: shots -> energy map -> resist profile.
+//
+// simulate_exposure splits the PSF at ExposureOptions{}.long_range_threshold
+// into the two scales the PEC evaluator uses (src/pec/exposure.h):
+//   - short-range terms (forward scattering) are rasterized and blurred on
+//     the fine output grid, but only over the pattern bbox dilated by the
+//     widest short kernel's radius; every pixel outside that window gets
+//     exactly zero from them;
+//   - long-range terms (backscattering) are blurred on an ExposureEvaluator's
+//     coarse map (pixel = finest long sigma / pixels_per_sigma) and added to
+//     every output pixel by bilinear upsampling.
+// Against a single-scale oracle that blurs every term on the fine grid
+// (tests/sim_reference.h), the long-range upsampling moves the map by a few
+// 1e-3 of unit exposure (docs/architecture.md §5 gives the EPE shifts).
 #pragma once
 
 #include <optional>
@@ -6,7 +19,7 @@
 
 #include "fracture/shot.h"
 #include "geom/raster.h"
-#include "pec/exposure.h"  // BlurBackend, blur primitives
+#include "pec/exposure.h"  // BlurBackend
 #include "pec/psf.h"
 #include "sim/resist.h"
 
@@ -25,18 +38,20 @@ struct SimOptions {
   /// env var, else hardware concurrency). Output is identical for any value.
   int threads = 0;
 
-  /// Convolution backend for the per-term blurs. The simulator rasters at
-  /// the forward-scattering resolution, so backscatter kernels span hundreds
-  /// of pixels — exactly where the FFT engine wins: kAuto transforms the
-  /// dose map once and applies every wide term's spectrum to it, keeping the
-  /// separable passes only for narrow terms. Backend choice moves results by
-  /// no more than floating-point rounding.
+  /// Convolution backend for both blurs: the short terms' window blur on the
+  /// fine grid and the long terms' blur on the coarse map. kAuto picks per
+  /// blur by the flop model (see fft_blur_wins); no wide kernel reaches the
+  /// fine grid, so it mostly picks the separable passes. Backend choice
+  /// moves results by no more than floating-point rounding.
   BlurBackend blur_backend = BlurBackend::kAuto;
 };
 
-/// Energy deposition map of a dosed shot list: coverage rasterization of the
-/// dose followed by one separable Gaussian convolution per PSF term.
-/// Normalization: infinite unit-dose pattern -> exposure 1.0.
+/// Energy deposition map of a dosed shot list over the shot bbox plus the
+/// margin, at the simulation pixel: short terms by coverage rasterization
+/// and a separable blur near the pattern, long terms from a coarse map (see
+/// the header comment). Normalization: infinite unit-dose pattern ->
+/// exposure 1.0. Output is identical for any thread count. Throws DataError
+/// when the frame exceeds a fixed budget of 2^27 pixels.
 Raster simulate_exposure(const ShotList& shots, const Psf& psf,
                          const SimOptions& options = {});
 

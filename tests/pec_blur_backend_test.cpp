@@ -278,9 +278,9 @@ TEST(Pec, DensityPecAgreesAcrossBackends) {
 }
 
 TEST(Sim, SimulateExposureAgreesAcrossBackends) {
-  // At simulation resolution (pixel = alpha/2) the backscatter kernel spans
-  // hundreds of pixels, so kAuto sends it to the FFT — the result must
-  // stay within rounding of the all-direct map.
+  // The backend selects both the short terms' window blur and the long
+  // terms' coarse-map blur — every choice must stay within rounding of the
+  // all-direct map.
   PolygonSet pattern;
   pattern.insert(Box{0, 0, 8000, 6000});
   pattern.insert(Box{12000, 0, 13000, 6000});

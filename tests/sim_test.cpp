@@ -6,8 +6,10 @@
 
 #include "core/patterns.h"
 #include "fracture/fracture.h"
+#include "pec/correction.h"
 #include "sim/epe.h"
 #include "sim/exposure_sim.h"
+#include "sim_reference.h"
 #include "util/contracts.h"
 
 namespace ebl {
@@ -74,6 +76,109 @@ TEST(SimulateExposure, DoseScalesLinearly) {
   const Raster e3 = simulate_exposure(shots, test_psf(), {.pixel = 100});
   const auto [ix, iy] = e1.index_of(Point{2500, 2500});
   EXPECT_NEAR(e3.at(ix, iy), 3.0 * e1.at(ix, iy), 1e-9);
+}
+
+// The paper's device in miniature: four 100 nm gates fanned out through
+// Manhattan 500 nm leads to 2 um pads (outer gates turn first, so no leads
+// cross), plus an isolated 100 nm line 8 um to the side.
+PolygonSet gate_layout() {
+  PolygonSet s;
+  const int gates = 4;
+  const Coord pitch = 600, gate_len = 1500, h = 250, pad = 2000, pad_pitch = 3000;
+  const Coord pad_y = 7000;
+  const double mid = 0.5 * (gates - 1);
+  for (int i = 0; i < gates; ++i) {
+    const Coord gx = Coord(i) * pitch;
+    const Coord px = static_cast<Coord>(std::lround((i - mid) * pad_pitch + mid * pitch));
+    const int rank = i < mid ? i : gates - 1 - i;
+    const Coord turn = gate_len + 1000 + Coord(rank) * 1200;
+    s.insert(Box{gx - 50, 0, gx + 50, gate_len});
+    s.insert(Box{gx - h, gate_len - 100, gx + h, turn + h});
+    s.insert(Box{std::min(gx, px) - h, turn - h, std::max(gx, px) + h, turn + h});
+    s.insert(Box{px - h, turn - h, px + h, pad_y + 100});
+    s.insert(Box{px - pad / 2, pad_y, px + pad / 2, pad_y + pad});
+  }
+  s.insert(Box{12000, 0, 12100, 3000});
+  return s;
+}
+
+double max_abs_diff(const Raster& a, const Raster& b) {
+  EXPECT_EQ(a.width(), b.width());
+  EXPECT_EQ(a.height(), b.height());
+  EXPECT_EQ(a.origin(), b.origin());
+  double m = 0.0;
+  for (std::size_t i = 0; i < a.data().size(); ++i)
+    m = std::max(m, std::abs(a.data()[i] - b.data()[i]));
+  return m;
+}
+
+// Two-scale simulate_exposure against the single-scale oracle, which blurs
+// every term on the 25 nm grid. The backscatter goes through a sigma/4 map
+// and bilinear upsampling instead; measured max |diff| 3.0e-3 (double) and
+// 2.5e-3 (triple) of unit exposure, and EPE p50/p99 shifts of 0.04-0.14
+// dbu. The bound leaves 2x headroom on the larger map difference.
+constexpr double kTwoScaleBound = 6e-3;
+
+void expect_matches_oracle(const Psf& psf) {
+  const PolygonSet target = gate_layout();
+  const ShotList raw = fracture(target, {.max_shot_size = 1000}).shots;
+  const ShotList shots = correct_proximity(raw, psf).shots;
+  const SimOptions opt{.pixel = 25};
+  const Raster fast = simulate_exposure(shots, psf, opt);
+  const Raster oracle = reference::simulate_exposure(shots, psf, opt);
+  EXPECT_LE(max_abs_diff(fast, oracle), kTwoScaleBound);
+
+  const std::vector<EpeEdge> edges = epe_edges(target);
+  const EpeStats a = score_epe(fast, 0.5, edges, {});
+  const EpeStats b = score_epe(oracle, 0.5, edges, {});
+  EXPECT_GT(b.samples, 100u);
+  EXPECT_EQ(b.missing, 0u);
+  EXPECT_EQ(a.missing, 0u);
+  EXPECT_NEAR(a.p50, b.p50, 0.5);
+  EXPECT_NEAR(a.p99, b.p99, 0.5);
+}
+
+TEST(TwoScaleSim, DoubleGaussianMatchesOracle) {
+  expect_matches_oracle(Psf::double_gaussian(50.0, 3000.0, 0.7));
+}
+
+TEST(TwoScaleSim, TripleGaussianMatchesOracle) {
+  expect_matches_oracle(Psf::triple_gaussian(50.0, 3000.0, 600.0, 0.7, 0.3));
+}
+
+TEST(TwoScaleSim, ShortOnlyPsfMatchesOracleOverWholeFrame) {
+  // No long terms: the only difference left is the blur window, which must
+  // change nothing — neither inside it nor (all zeros) outside it.
+  const ShotList shots = fracture(gate_layout(), {.max_shot_size = 1000}).shots;
+  const Psf psf = Psf::single_gaussian(50.0);
+  const SimOptions opt{.pixel = 25, .margin = 3000};
+  EXPECT_LE(max_abs_diff(simulate_exposure(shots, psf, opt),
+                         reference::simulate_exposure(shots, psf, opt)),
+            1e-12);
+}
+
+TEST(TwoScaleSim, BitwiseIdenticalAcrossThreadCounts) {
+  const ShotList shots = fracture(gate_layout(), {.max_shot_size = 1000}).shots;
+  const Psf psf = Psf::triple_gaussian(50.0, 3000.0, 600.0, 0.7, 0.3);
+  const Raster one = simulate_exposure(shots, psf, {.pixel = 25, .threads = 1});
+  const Raster four = simulate_exposure(shots, psf, {.pixel = 25, .threads = 4});
+  EXPECT_TRUE(one.data() == four.data());
+}
+
+TEST(TwoScaleSim, OversizedFrameThrowsDataError) {
+  // Two 1 um shots 100 mm apart in x and y at 25 nm: a 4.0e6 x 4.0e6 =
+  // 1.6e13 pixel frame, which must fail before anything is allocated.
+  const ShotList shots{{Trapezoid::rect(Box{0, 0, 1000, 1000}), 1.0},
+                       {Trapezoid::rect(Box{100000000, 100000000, 100001000, 100001000}), 1.0}};
+  try {
+    simulate_exposure(shots, test_psf(), {.pixel = 25});
+    FAIL() << "expected DataError";
+  } catch (const DataError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("SimOptions::pixel"), std::string::npos) << what;
+    EXPECT_NE(what.find("SimOptions::margin"), std::string::npos) << what;
+    EXPECT_NE(what.find("100025000 x 100025000 dbu"), std::string::npos) << what;
+  }
 }
 
 TEST(Develop, AppliesResistCurve) {
