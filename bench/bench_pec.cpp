@@ -253,7 +253,7 @@ std::vector<PadRow> run_pad_sweep(bool quick) {
 // --- Sharded section: tiled concurrent correction vs the global oracle. ---
 //
 // Runs the full corrector twice on a pad-and-island workload under the
-// triple-Gaussian PSF: once monolithic (shard_size = 0, the oracle) and
+// triple-Gaussian PSF: once global (shard_size = 0, one shard) and
 // once sharded at default_shard_size with halo exchange. The workload is a
 // grid of 20 µm pads with isolated 1 µm islands in the gaps — the classic
 // proximity motif, with a ~40% uncorrected iso-dense error, so both solvers
@@ -378,7 +378,11 @@ ShardedRow run_sharded(const Psf& psf, bool quick) {
   PecOptions sopt = popt;
   // FFT-snug sizing: shards grown from the 64-sigma default until their
   // long-range maps fill the power-of-two FFT grid they would pad to anyway.
-  sopt.shard_size = default_shard_size(psf, sopt);
+  // The quick pattern fits inside one such shard, so it takes the plain
+  // default and still tiles into several — a one-shard layout would be the
+  // global solve again, and would give the fault case no second job to
+  // crash on.
+  sopt.shard_size = quick ? default_shard_size(psf) : default_shard_size(psf, sopt);
   row.shard_size = sopt.shard_size;
   t0 = std::chrono::steady_clock::now();
   const PecResult sharded = correct_proximity(shots, psf, sopt);
@@ -406,13 +410,15 @@ ShardedRow run_sharded(const Psf& psf, bool quick) {
     std::cerr << "sharded section: " << dist.workers << "-worker distributed solve "
               << (row.dist_bitwise ? "bitwise-identical" : "DOSE MISMATCH") << "\n";
 
-    // Fault recovery: each worker incarnation crashes after serving one
-    // sweep's worth of jobs, so every worker suffers a real mid-solve death
-    // (multi-shard runs) while respawned incarnations live long enough that
+    // Fault recovery: each worker incarnation crashes after serving its
+    // even share of one sweep's jobs, so a worker dies mid-solve (in the
+    // first sweep when the shards do not split evenly, else on its first
+    // job of the next) while respawned incarnations live long enough that
     // the measured overhead is recovery, not perpetual cold-pool rebuilds.
     PecOptions fopt = dopt;
     fopt.worker_max_restarts = 32;
-    row.fault_plan = "crash-after=" + std::to_string(std::max(2, sharded.shards));
+    row.fault_plan =
+        "crash-after=" + std::to_string(std::max(1, sharded.shards / dist.workers));
     ::setenv("EBL_FAULT_PLAN", row.fault_plan.c_str(), 1);
     t0 = std::chrono::steady_clock::now();
     const PecResult faulted = correct_proximity(shots, psf, fopt);
@@ -661,6 +667,15 @@ void print_sharded(const ShardedRow& sharded) {
   }
 }
 
+// A fault case that recorded no restart measured no recovery: its plan never
+// fired. Skipped runs (no worker binary) pass.
+bool fault_case_fired(const ShardedRow& row) {
+  if (row.fault_ms < 0.0 || row.fault_restarts > 0) return true;
+  std::cerr << "bench_pec: fault-recovery case (" << row.fault_plan
+            << ") recorded 0 worker restarts\n";
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -672,8 +687,9 @@ int main(int argc, char** argv) {
   // change wants a probe that skips the unrelated half of the suite.
   if (argc > 1 && std::strcmp(argv[1], "--sharded-only") == 0) {
     const Psf blur_psf = Psf::triple_gaussian(50.0, 3000.0, 600.0, 0.7, 0.3);
-    print_sharded(run_sharded(blur_psf, false));
-    return 0;
+    const ShardedRow sharded = run_sharded(blur_psf, false);
+    print_sharded(sharded);
+    return fault_case_fired(sharded) ? 0 : 1;
   }
 
   const Psf scaling_psf = Psf::double_gaussian(50.0, 3000.0, 0.7);
@@ -719,6 +735,7 @@ int main(int argc, char** argv) {
 
   write_bench_json(scaling, blur_rows, pad_rows, sharded, scaling_psf, blur_psf);
   std::cout << "wrote BENCH_pec.json\n";
+  if (!fault_case_fired(sharded)) return 1;
   if (quick) return 0;
   const Coord w = 500;
   const Coord pitch = 1000;

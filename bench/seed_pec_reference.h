@@ -226,8 +226,7 @@ inline PecResult seed_correct_proximity(const ShotList& shots, const Psf& psf,
 
     for (std::size_t i = 0; i < doses.size(); ++i) {
       const double ratio = options.target / std::max(e[i], 1e-9);
-      doses[i] = std::clamp(doses[i] * std::pow(ratio, options.damping),
-                            options.min_dose, options.max_dose);
+      doses[i] = std::clamp(doses[i] * ratio, options.min_dose, options.max_dose);
     }
     eval.set_doses(doses);
   }

@@ -33,6 +33,10 @@ PrepResult run_pipeline(const PrepOptions& options, const char* front_name,
   // concurrency (the 0 = auto path inside resolve_threads).
   PecOptions pec_opt = options.pec;
   if (pec_opt.exposure.threads == 0) pec_opt.exposure.threads = options.threads;
+  // A global solve is one shard with nothing to exchange; only a tiled
+  // solve lists its rounds.
+  const bool sharded_pec = options.pec.shard_size > 0 || options.pec.worker_count > 0 ||
+                           !options.pec.worker_hosts.empty();
 
   // The pipeline is an explicit stage list: each stage is enabled by the
   // options it consumes and its wall-clock lands in stage_times, so callers
@@ -66,10 +70,11 @@ PrepResult run_pipeline(const PrepOptions& options, const char* front_name,
          result.pec_worker_restarts = pec.worker_restarts;
          result.pec_reassigned_jobs = pec.reassigned_jobs;
          result.pec_degraded_to_inprocess = pec.degraded_to_inprocess;
-         // Sharded solves report per-round wall clock; surface each round
-         // (and the final measurement pass, when one ran) as its own stage
-         // so the halo-exchange cost is visible in profiles. These land
-         // before the enclosing "pec" stage's own entry, in execution order.
+         // Sharded solves surface each round (and the final measurement
+         // pass, when one ran) as its own stage so the halo-exchange cost is
+         // visible in profiles. These land before the enclosing "pec"
+         // stage's own entry, in execution order.
+         if (!sharded_pec) return;
          for (std::size_t r = 0; r < pec.round_ms.size(); ++r) {
            result.stage_times.push_back(
                {"pec_round_" + std::to_string(r + 1), pec.round_ms[r]});

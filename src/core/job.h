@@ -95,7 +95,7 @@ struct PrepResult {
   std::optional<double> pec_final_error;
   std::optional<double> pec_uncorrected_error;
   int pec_iterations = 0;
-  int pec_shards = 0;   ///< shard count of the sharded solve (0 = global)
+  int pec_shards = 0;   ///< shard count of the solve (1 = global)
   int pec_workers = 0;  ///< worker processes of the distributed solve
                         ///< (pec.worker_count > 0); 0 = in-process
 

@@ -3,131 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "geom/raster.h"
-#include "pec/sharded.h"
 #include "util/contracts.h"
 
 namespace ebl {
-
-PecResult correct_proximity(const ShotList& shots, const Psf& psf,
-                            const PecOptions& options) {
-  expects(!shots.empty(), "correct_proximity: empty shot list");
-  expects(options.target > 0, "correct_proximity: target must be positive");
-  expects(options.max_iterations > 0, "correct_proximity: need >= 1 iteration");
-
-  // shard_size > 0 selects the sharded pipeline: per-shard memory, shards
-  // corrected concurrently, cross-shard coupling via halo-exchange rounds.
-  // worker_count > 0 implies sharding (the distributed entry fills in the
-  // default shard size) — silently running monolithic in-process despite a
-  // requested worker pool would be a footgun.
-  if (options.worker_count > 0 || !options.worker_hosts.empty())
-    return correct_proximity_distributed(shots, psf, options);
-  if (options.shard_size > 0) return correct_proximity_sharded(shots, psf, options);
-
-  // The corrector only ever samples shot centroids, so the long-range maps
-  // can drop their off-pattern sampling margin (see map_margin_sigmas).
-  ExposureOptions eopt = options.exposure;
-  eopt.map_margin_sigmas = 0.0;
-  ExposureEvaluator eval(shots, psf, eopt);
-  std::vector<double> doses(shots.size());
-  for (std::size_t i = 0; i < shots.size(); ++i) doses[i] = shots[i].dose;
-
-  // Iteration-aware update schedule (delta mode only): shots already within
-  // update_tol of target are left untouched this iteration. The bar is loose
-  // while the sweep error is large — shots that start on target (uniform
-  // interiors) freeze immediately — and tightens to the convergence
-  // tolerance as the solve approaches it, so the final iterations touch only
-  // the shots still moving and the evaluator's delta path does the rest.
-  // The stopping criterion is measured over every shot regardless, so
-  // converged accuracy is exactly the non-scheduled corrector's.
-  const bool delta_mode = eopt.delta_threshold > 0;
-  PecResult result;
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    const std::vector<double> e = eval.exposures_at_centroids();
-    double max_err = 0.0;
-    for (double ei : e) max_err = std::max(max_err, std::abs(ei / options.target - 1.0));
-    result.max_error_history.push_back(max_err);
-    result.iterations = iter;
-    if (max_err < options.tolerance) break;
-
-    // Floor well below the stopping tolerance so frozen shots cannot pile up
-    // just under it and dominate the converged error.
-    const double update_tol =
-        jacobi_update_tolerance(delta_mode, options.tolerance, max_err);
-    for (std::size_t i = 0; i < doses.size(); ++i) {
-      doses[i] = jacobi_updated_dose(doses[i], e[i], update_tol, options);
-    }
-    eval.set_doses(doses);
-  }
-
-  result.shots = eval.shots();
-  if (options.dose_classes > 0) quantize_doses(result.shots, options.dose_classes);
-
-  // Final error with the delivered (possibly quantized) doses, reusing the
-  // evaluator's cached neighbor grid and splat footprints (geometry is
-  // unchanged; only doses may have moved under quantization).
-  std::vector<double> final_doses(result.shots.size());
-  bool doses_changed = false;
-  for (std::size_t i = 0; i < result.shots.size(); ++i) {
-    final_doses[i] = result.shots[i].dose;
-    doses_changed |= final_doses[i] != eval.shots()[i].dose;
-  }
-  if (doses_changed) eval.set_doses(final_doses);
-  double max_err = 0.0;
-  for (double ei : eval.exposures_at_centroids())
-    max_err = std::max(max_err, std::abs(ei / options.target - 1.0));
-  result.final_max_error = max_err;
-  result.blur = eval.blur_perf();
-  return result;
-}
-
-PecResult density_pec(const ShotList& shots, const Psf& psf, const PecOptions& options) {
-  expects(!shots.empty(), "density_pec: empty shot list");
-
-  // eta = backscattered fraction / forward fraction, taking the
-  // longest-range term as "backscatter" (shared with the sharded warm
-  // start — see backscatter_eta).
-  double max_sigma = 0.0;
-  for (const PsfTerm& t : psf.terms()) max_sigma = std::max(max_sigma, t.sigma);
-  const double eta = backscatter_eta(psf);
-
-  // Blurred pattern density at the backscatter range.
-  Box frame;
-  for (const Shot& s : shots) frame += s.shape.bbox();
-  const Coord margin = static_cast<Coord>(std::ceil(4.0 * max_sigma));
-  const Coord pixel = std::max<Coord>(1, static_cast<Coord>(max_sigma / 4.0));
-  Raster density(frame.bloated(margin), pixel);
-  for (const Shot& s : shots) density.add_coverage(s.shape, 1.0);
-  // Backend-dispatched: the density map is one blur at sigma/4 pixels, so
-  // kAuto stays on the separable passes unless the caller picked finer
-  // pixels (via exposure.blur_backend = kFft the spectral path is forced).
-  gaussian_blur(density, max_sigma, options.exposure.blur_backend,
-                options.exposure.threads);
-
-  PecResult result;
-  result.shots = shots;
-  for (Shot& s : result.shots) {
-    const Trapezoid& t = s.shape;
-    const double cx = 0.25 * (double(t.xl0) + t.xr0 + t.xl1 + t.xr1);
-    const double cy = 0.5 * (double(t.y0) + t.y1);
-    // Bilinear sample with out-of-grid pixels contributing 0: centroids of
-    // edge shots can land a pixel outside the padded frame, where nearest-
-    // pixel indexing would read a clamped (wrong) border value.
-    const double u = std::clamp(density.sample(cx, cy), 0.0, 1.0);
-    const double dose = (1.0 + 2.0 * eta) / (1.0 + 2.0 * eta * u);
-    s.dose = std::clamp(dose * options.target, options.min_dose, options.max_dose);
-  }
-  if (options.dose_classes > 0) quantize_doses(result.shots, options.dose_classes);
-
-  ExposureEvaluator eval(result.shots, psf, options.exposure);
-  double max_err = 0.0;
-  for (double ei : eval.exposures_at_centroids())
-    max_err = std::max(max_err, std::abs(ei / options.target - 1.0));
-  result.final_max_error = max_err;
-  result.iterations = 1;
-  result.max_error_history.push_back(max_err);
-  return result;
-}
 
 int quantize_doses(ShotList& shots, int classes) {
   expects(classes >= 1, "quantize_doses: classes must be >= 1");

@@ -1,6 +1,6 @@
 // Proximity-effect correction by dose modulation.
 //
-// Two correctors:
+// Two correctors, both run by the shard engine of src/pec/sharded.cpp:
 //  - correct_proximity: the self-consistent iterative scheme (per-shot dose,
 //    Jacobi iteration on representative points). This is the accurate,
 //    shape-based method.
@@ -12,8 +12,7 @@
 // classes.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
+#include <string>
 #include <vector>
 
 #include "fracture/shot.h"
@@ -32,9 +31,6 @@ struct PecOptions {
   /// Target in-pattern exposure (relative to unit-dose infinite pattern).
   double target = 1.0;
 
-  /// Jacobi damping factor (1 = undamped).
-  double damping = 1.0;
-
   /// Dose clamp (machines have a finite dose range).
   double min_dose = 0.1;
   double max_dose = 8.0;
@@ -43,13 +39,13 @@ struct PecOptions {
   /// [min observed, max observed] (machine dose-class granularity).
   int dose_classes = 0;
 
-  /// Side of the square PEC shards in dbu. 0 (the default) keeps the
-  /// monolithic global solve — the oracle the sharded pipeline is validated
-  /// against. When > 0, correct_proximity dispatches to the sharded pipeline
-  /// (src/pec/sharded.h): per-shard memory is O(shard), shards run
-  /// concurrently, and patterns beyond the global evaluator's reach (10M+
-  /// shots, >2^31-dbu extents) become correctable. Pick a multiple of the
-  /// widest PSF sigma — default_shard_size(psf) gives a good value.
+  /// Side of the square PEC shards in dbu. 0 (the default) is the global
+  /// solve: one shard owning every shot, no halos, so memory is
+  /// O(pattern). When > 0 the pattern is tiled (src/pec/sharded.h):
+  /// per-shard memory is O(shard), shards run concurrently, and patterns
+  /// beyond one evaluator's reach (10M+ shots, >2^31-dbu extents) become
+  /// correctable. Pick a multiple of the widest PSF sigma —
+  /// default_shard_size(psf) gives a good value.
   Coord shard_size = 0;
 
   /// Halo width around each shard, in units of the widest PSF sigma: shots
@@ -75,12 +71,11 @@ struct PecOptions {
   /// instead of at the raw input doses, which both shrinks the round-1
   /// Jacobi work and leaves far less cross-shard residual for the exchange
   /// rounds. Accuracy is unaffected — the same per-shard tolerance is
-  /// enforced on the same evaluators. Ignored when the layout degenerates to
-  /// a single shard (no halos to stabilize, and the monolithic solve is the
-  /// bitwise reference for that case).
+  /// enforced on the same evaluators. Ignored when the layout has a single
+  /// shard (no halos to stabilize).
   bool density_warm_start = true;
 
-  /// Sharded solves only: how many per-shard evaluators may stay resident
+  /// How many per-shard evaluators may stay resident
   /// across halo-exchange rounds. A resident shard re-enters a round through
   /// an exact dose refresh (ExposureEvaluator::set_background_doses) that
   /// reuses its neighbor grid, splat clipping, and FFT plan — the expensive,
@@ -94,8 +89,7 @@ struct PecOptions {
   /// When > 0, shard jobs of every halo-exchange round are farmed over this
   /// many out-of-process workers (tools/pec_worker, spawned from
   /// worker_path) instead of the in-process thread pool. Implies sharding:
-  /// with shard_size still 0, correct_proximity routes through
-  /// correct_proximity_distributed, which fills in default_shard_size. Jobs
+  /// with shard_size still 0, the solve tiles at default_shard_size. Jobs
   /// and results cross in the versioned binary wire format (src/pec/wire.h,
   /// bit-exact doses), shards stick to workers so the workers' resident
   /// evaluator pools keep hitting, and results are bitwise-identical to the
@@ -146,20 +140,20 @@ struct PecOptions {
 
 struct PecResult {
   ShotList shots;                        ///< same geometry, corrected doses
-  /// Global solve: max |E/target - 1| per Jacobi iteration. Sharded solve:
-  /// the cross-shard error entering each exchange round, then the final
-  /// measured error.
+  /// Global solve: max |E/target - 1| at every Jacobi evaluation. Sharded
+  /// solve: the cross-shard error entering each exchange round. Then the
+  /// final error, when a measurement pass ran.
   std::vector<double> max_error_history;
-  int iterations = 0;
+  int iterations = 0;  ///< Jacobi update steps (per round, the busiest shard's)
   double final_max_error = 0.0;
-  int shards = 0;  ///< sharded pipeline shard count (0 = monolithic solve)
-  int rounds = 0;  ///< sharded: correction rounds run (incl. the first pass)
+  int shards = 0;  ///< shard count (1 for the global solve)
+  int rounds = 0;  ///< correction rounds run (incl. the first pass)
 
-  /// Sharded: wall-clock of each correction round, in round order (the
-  /// pipeline surfaces these as pec_round_N stage times).
+  /// Wall-clock of each correction round, in round order (the pipeline
+  /// surfaces these as pec_round_N stage times of sharded jobs).
   std::vector<double> round_ms;
-  /// Sharded: wall-clock of the final measurement-only pass; < 0 when the
-  /// last round certified convergence and no extra pass was needed.
+  /// Wall-clock of the final measurement-only pass; < 0 when the last round
+  /// certified convergence and no extra pass was needed.
   double measure_ms = -1.0;
   int resident_shards = 0;  ///< evaluators resident when the solve finished
   int shard_evictions = 0;  ///< resident evaluators dropped to fit the budget
@@ -180,49 +174,25 @@ struct PecResult {
   bool degraded_to_inprocess = false;
 
   /// Aggregated long-range refresh accounting across every evaluator the
-  /// solve used (the one global evaluator, or all shard evaluators summed in
-  /// slot order) — how much work the delta path absorbed.
+  /// solve used (all shard evaluators summed in slot order) — how much work
+  /// the delta path absorbed.
   BlurPerf blur;
 };
 
 /// Iterative self-consistent dose correction. The exposure at each shot's
-/// centroid is driven to options.target by multiplicative Jacobi updates:
-///   d_i <- d_i * (target / E_i)^damping
-/// With options.shard_size > 0 the solve runs on the sharded pipeline
-/// (src/pec/sharded.h): the pattern is tiled into square shards corrected
+/// centroid is driven to options.target by multiplicative Jacobi updates
+///   d_i <- d_i * target / E_i
+/// on the shard engine (src/pec/sharded.h): one shard for the global solve,
+/// or, with options.shard_size > 0 or workers, square shards corrected
 /// concurrently with frozen-dose halo ghosts and a few halo-exchange rounds.
 PecResult correct_proximity(const ShotList& shots, const Psf& psf,
                             const PecOptions& options = {});
 
-/// The per-iteration freeze bar of the delta-mode update schedule: shots
-/// whose relative error is below it are left untouched this iteration —
-/// loose while the sweep error is large, tightening to a quarter of the
-/// stopping tolerance at convergence (so frozen shots cannot pile up just
-/// under the tolerance and dominate the converged error). 0 in oracle mode:
-/// every shot updates every iteration.
-inline double jacobi_update_tolerance(bool delta_mode, double tolerance,
-                                      double max_err) {
-  return delta_mode ? std::max(0.25 * tolerance, 0.1 * max_err) : 0.0;
-}
-
-/// One Jacobi dose update step, shared by the monolithic corrector and the
-/// per-shard solver so the sharded pipeline's single-shard degenerate case
-/// stays bitwise-identical to the monolithic solve by construction.
-inline double jacobi_updated_dose(double dose, double exposure, double update_tol,
-                                  const PecOptions& options) {
-  if (update_tol > 0 &&
-      std::abs(exposure / options.target - 1.0) < update_tol) {
-    return dose;  // frozen this iteration (see jacobi_update_tolerance)
-  }
-  const double ratio = options.target / std::max(exposure, 1e-9);
-  return std::clamp(dose * std::pow(ratio, options.damping), options.min_dose,
-                    options.max_dose);
-}
-
 /// Geometry-density PEC: one blurred-coverage raster at the backscatter
 /// range; each shot's dose is d(u) = (1 + 2 eta) / (1 + 2 eta u(centroid)),
 /// where u is the blurred local density. @p eta is inferred from the PSF
-/// (weight ratio of the longest-range term to the rest).
+/// (weight ratio of the longest-range term to the rest). The doses are the
+/// sharded solve's density warm start on the one-shard layout.
 PecResult density_pec(const ShotList& shots, const Psf& psf,
                       const PecOptions& options = {});
 

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <numeric>
 #include <thread>
 
 #include <unistd.h>
@@ -41,9 +42,6 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 // partitioner. Only occupied shards (>= 1 owned shot) materialize, so
 // sparse giant extents never allocate a dense shard grid.
 struct ShardLayout {
-  Box bbox;
-  Coord shard = 0;
-  Coord64 halo = 0;
   std::size_t count = 0;  ///< occupied shards
   // CSR shard -> owned shot indices (ascending within a shard) and
   // shard -> halo ghost indices, both filled in shot-index order so every
@@ -55,11 +53,11 @@ struct ShardLayout {
 ShardLayout build_layout(const ShotList& shots, Coord shard, double halo_dbu,
                          int threads) {
   ShardLayout L;
-  L.shard = shard;
-  L.halo = static_cast<Coord64>(std::ceil(halo_dbu));
-  for (const Shot& s : shots) L.bbox += s.shape.bbox();
-  const Coord64 nsx = L.bbox.width() / shard + 1;
-  const Coord64 nsy = L.bbox.height() / shard + 1;
+  const Coord64 halo = static_cast<Coord64>(std::ceil(halo_dbu));
+  Box bbox;
+  for (const Shot& s : shots) bbox += s.shape.bbox();
+  const Coord64 nsx = bbox.width() / shard + 1;
+  const Coord64 nsy = bbox.height() / shard + 1;
 
   // Owner shard of every shot: the shard containing its bbox center (center
   // coordinates never leave the bbox, so relative indices are >= 0).
@@ -72,8 +70,7 @@ ShardLayout build_layout(const ShotList& shots, Coord shard, double halo_dbu,
           const Box sb = shots[i].shape.bbox();
           const Coord64 cx = (Coord64(sb.lo.x) + sb.hi.x) / 2;
           const Coord64 cy = (Coord64(sb.lo.y) + sb.hi.y) / 2;
-          owner[i] =
-              pack_grid_key((cx - L.bbox.lo.x) / shard, (cy - L.bbox.lo.y) / shard);
+          owner[i] = pack_grid_key((cx - bbox.lo.x) / shard, (cy - bbox.lo.y) / shard);
         }
       },
       threads);
@@ -111,13 +108,13 @@ ShardLayout build_layout(const ShotList& shots, Coord shard, double halo_dbu,
   for (std::uint32_t i = 0; i < n; ++i) {
     const Box sb = shots[i].shape.bbox();
     const Coord64 sx0 = std::clamp<Coord64>(
-        div_floor(Coord64(sb.lo.x) - L.halo - L.bbox.lo.x, shard), 0, nsx - 1);
+        div_floor(Coord64(sb.lo.x) - halo - bbox.lo.x, shard), 0, nsx - 1);
     const Coord64 sx1 = std::clamp<Coord64>(
-        div_floor(Coord64(sb.hi.x) + L.halo - L.bbox.lo.x, shard), 0, nsx - 1);
+        div_floor(Coord64(sb.hi.x) + halo - bbox.lo.x, shard), 0, nsx - 1);
     const Coord64 sy0 = std::clamp<Coord64>(
-        div_floor(Coord64(sb.lo.y) - L.halo - L.bbox.lo.y, shard), 0, nsy - 1);
+        div_floor(Coord64(sb.lo.y) - halo - bbox.lo.y, shard), 0, nsy - 1);
     const Coord64 sy1 = std::clamp<Coord64>(
-        div_floor(Coord64(sb.hi.y) + L.halo - L.bbox.lo.y, shard), 0, nsy - 1);
+        div_floor(Coord64(sb.hi.y) + halo - bbox.lo.y, shard), 0, nsy - 1);
     if (sx0 == sx1 && sy0 == sy1) continue;  // interior: owner shard only
     for (Coord64 sy = sy0; sy <= sy1; ++sy) {
       for (Coord64 sx = sx0; sx <= sx1; ++sx) {
@@ -138,6 +135,42 @@ ShardLayout build_layout(const ShotList& shots, Coord shard, double halo_dbu,
     for (const auto& [slot, shot] : ghost_inc) L.ghost_items[cursor[slot]++] = shot;
   }
   return L;
+}
+
+// The global solve's layout: one shard owning every shot, no ghosts. Built
+// directly, never through a huge shard size (which would overflow Coord on
+// wide extents).
+ShardLayout single_shard_layout(std::size_t n) {
+  ShardLayout L;
+  L.count = 1;
+  L.active_start = {0, static_cast<std::uint32_t>(n)};
+  L.active_items.resize(n);
+  std::iota(L.active_items.begin(), L.active_items.end(), 0u);
+  L.ghost_start = {0, 0};
+  return L;
+}
+
+// The per-iteration freeze bar of the delta-mode update schedule: shots
+// whose relative error is below it are left untouched this iteration —
+// loose while the sweep error is large (shots that start on target, like
+// uniform interiors, freeze at once), tightening to a quarter of the
+// stopping tolerance at convergence (so frozen shots cannot pile up just
+// under the tolerance and dominate the converged error). 0 in oracle mode:
+// every shot updates every iteration. The stopping criterion is measured
+// over every shot regardless.
+double jacobi_update_tolerance(bool delta_mode, double tolerance, double max_err) {
+  return delta_mode ? std::max(0.25 * tolerance, 0.1 * max_err) : 0.0;
+}
+
+// One multiplicative Jacobi dose update, d <- d * target / E, clamped to the
+// machine's dose range.
+double jacobi_updated_dose(double dose, double exposure, double update_tol,
+                           const PecOptions& options) {
+  if (update_tol > 0 && std::abs(exposure / options.target - 1.0) < update_tol) {
+    return dose;  // frozen this iteration (see jacobi_update_tolerance)
+  }
+  const double ratio = options.target / std::max(exposure, 1e-9);
+  return std::clamp(dose * ratio, options.min_dose, options.max_dose);
 }
 
 struct ShardOutcome {
@@ -175,9 +208,8 @@ constexpr double kOptimisticExitFactor = 20.0;
 // Shards solve past the caller's tolerance so that cross-shard residuals
 // (the halo doses a shard could not see moving) do not push the globally
 // measured error back over it, and so the sharded dose field stays within
-// the tolerance of the monolithic solve's in dose space. A single-shard
-// layout has no such residual and keeps the exact tolerance — that
-// degenerate case must stay bitwise-identical to the monolithic solve.
+// the tolerance of the global solve's in dose space. A single-shard layout
+// has no such residual and keeps the exact tolerance.
 constexpr double kShardToleranceSlack = 0.5;
 
 // The wire-format job for one shard of one round — the single description
@@ -245,10 +277,12 @@ ShardOutcome run_shard(const ShotList& shots, const Psf& psf,
                        std::size_t slot, const std::vector<double>& doses,
                        std::vector<double>* next, std::vector<std::uint8_t>* changed,
                        bool correct, double tol, bool allow_optimistic, bool reset_all,
-                       std::unique_ptr<ExposureEvaluator>* pool_slot, bool pooled) {
-  const wire::ShardJob job = make_job(shots, psf, options, L, slot, doses, correct,
-                                      tol, allow_optimistic, reset_all, pooled, 0);
-  const wire::ShardResult r = solve_shard_job(job, pool_slot);
+                       std::unique_ptr<ExposureEvaluator>* pool_slot, bool pooled,
+                       std::vector<double>* errors) {
+  const wire::ShardResult r =
+      solve_shard_job(make_job(shots, psf, options, L, slot, doses, correct, tol,
+                               allow_optimistic, reset_all, pooled, 0),
+                      pool_slot, errors);
   return apply_result(L, slot, r, next, changed);
 }
 
@@ -308,13 +342,13 @@ struct SweepCtx {
   double tol = 0.0;
   bool allow_optimistic = false;
   bool force_reset = false;  ///< post-quantization measurement: reset every shard
-  int round = 0;             ///< recency stamp for the in-process pool
-  const std::vector<std::uint8_t>* will_run = nullptr;
+  const std::vector<std::uint64_t>* run = nullptr;  ///< slots to run, ascending
   const std::vector<std::uint8_t>* self_dirty = nullptr;
   const std::vector<double>* doses = nullptr;
   std::vector<double>* next = nullptr;            ///< null in measurement pass
   std::vector<std::uint8_t>* changed = nullptr;   ///< null in measurement pass
   std::vector<ShardOutcome>* outcomes = nullptr;  ///< ran slots only
+  std::vector<double>* errors = nullptr;  ///< global solve: every evaluation's error
 };
 
 class ShardRunner {
@@ -327,98 +361,48 @@ class ShardRunner {
 };
 
 // The single-process execution path: shards of a sweep run concurrently on
-// the thread pool, sharing a driver-side resident evaluator pool.
+// the thread pool, sharing a driver-side resident evaluator pool. The pool
+// is planned serially before each sweep from its deterministic run set.
 class InProcessRunner : public ShardRunner {
  public:
   InProcessRunner(const ShotList& shots, const Psf& psf, const PecOptions& options,
                   const ShardLayout& L)
-      : shots_(shots), psf_(psf), options_(options), L_(L) {
-    pooled_ = options.resident_shard_budget > 0;
-    budget_ = pooled_ ? static_cast<std::size_t>(options.resident_shard_budget) : 0;
-    pool_.resize(pooled_ ? L.count : 0);
-    last_used_.assign(pooled_ ? L.count : 0, -1);
-    grant_.assign(L.count, 0);
-  }
+      : shots_(shots),
+        psf_(psf),
+        options_(options),
+        L_(L),
+        pool_(static_cast<std::size_t>(std::max(0, options.resident_shard_budget))) {}
 
   void sweep(const SweepCtx& ctx) override {
-    const std::vector<std::uint8_t>& will_run = *ctx.will_run;
-    const std::vector<std::uint8_t>& self_dirty = *ctx.self_dirty;
-    plan_residency(will_run);
+    const std::vector<std::uint64_t>& run = *ctx.run;
+    pool_.plan(run);
+    const bool pooled = options_.resident_shard_budget > 0;
     parallel_for(
-        L_.count,
-        [&](std::size_t s0, std::size_t s1) {
-          for (std::size_t s = s0; s < s1; ++s) {
-            if (!will_run[s]) continue;
-            auto* slot = pooled_ && (pool_[s] || grant_[s]) ? &pool_[s] : nullptr;
+        run.size(),
+        [&](std::size_t i0, std::size_t i1) {
+          for (std::size_t i = i0; i < i1; ++i) {
+            const std::size_t s = run[i];
             (*ctx.outcomes)[s] = run_shard(
                 shots_, psf_, options_, L_, s, *ctx.doses, ctx.next, ctx.changed,
                 ctx.correct, ctx.tol, ctx.allow_optimistic,
-                /*reset_all=*/self_dirty[s] != 0 || ctx.force_reset, slot, pooled_);
+                /*reset_all=*/(*ctx.self_dirty)[s] != 0 || ctx.force_reset,
+                pool_.slot(s), pooled, ctx.errors);
           }
         },
         options_.exposure.threads);
-    // Correction rounds stamp recency for the LRU planner; the measurement
-    // pass does not (nothing re-enters after it).
-    if (ctx.correct && pooled_) {
-      for (std::size_t s = 0; s < L_.count; ++s) {
-        if (will_run[s] && pool_[s]) last_used_[s] = ctx.round;
-      }
-    }
   }
 
   void finish(PecResult* result) override {
-    if (pooled_) {
-      for (const auto& p : pool_) result->resident_shards += p != nullptr;
-    }
-    result->shard_evictions = evictions_;
+    result->resident_shards = static_cast<int>(pool_.resident());
+    result->shard_evictions = static_cast<int>(pool_.evictions());
   }
 
  private:
-  // Resident evaluator pool: one slot per shard, filled up to the budget.
-  // Grants and evictions are planned serially before each sweep from the
-  // sweep's deterministic run set, so the pool contents never depend on
-  // thread scheduling — and since resident re-entry is exact (see
-  // solve_shard_job), they could not change results even if they did.
-  void plan_residency(const std::vector<std::uint8_t>& will_run) {
-    if (!pooled_) return;
-    const std::size_t ns = L_.count;
-    std::fill(grant_.begin(), grant_.end(), 0);
-    std::size_t resident = 0;
-    for (std::size_t s = 0; s < ns; ++s) resident += pool_[s] != nullptr;
-    for (std::size_t s = 0; s < ns; ++s) {
-      if (!will_run[s] || pool_[s]) continue;
-      if (resident < budget_) {
-        grant_[s] = 1;
-        ++resident;
-        continue;
-      }
-      // Evict the least-recently-run resident that is idle this round
-      // (ties: highest slot), then grant its place.
-      std::size_t victim = ns;
-      for (std::size_t v = 0; v < ns; ++v) {
-        if (!pool_[v] || will_run[v]) continue;
-        if (victim == ns || last_used_[v] < last_used_[victim] ||
-            (last_used_[v] == last_used_[victim] && v > victim)) {
-          victim = v;
-        }
-      }
-      if (victim == ns) break;  // every resident runs this round: rest transient
-      pool_[victim].reset();
-      ++evictions_;
-      grant_[s] = 1;
-    }
-  }
-
   const ShotList& shots_;
   const Psf& psf_;
   const PecOptions& options_;
   const ShardLayout& L_;
-  bool pooled_ = false;
-  std::size_t budget_ = 0;
-  std::vector<std::unique_ptr<ExposureEvaluator>> pool_;
-  std::vector<int> last_used_;
-  std::vector<std::uint8_t> grant_;
-  int evictions_ = 0;
+  EvaluatorPool pool_;
 };
 
 // The multi-process execution path: a supervised pool of worker channels
@@ -507,11 +491,7 @@ class DistributedRunner : public ShardRunner {
   }
 
   void sweep(const SweepCtx& ctx) override {
-    const std::vector<std::uint8_t>& will_run = *ctx.will_run;
-    const std::vector<std::uint8_t>& self_dirty = *ctx.self_dirty;
-    std::vector<std::size_t> slots;
-    for (std::size_t s = 0; s < L_.count; ++s)
-      if (will_run[s]) slots.push_back(s);
+    const std::vector<std::uint64_t>& slots = *ctx.run;
     if (slots.empty()) return;
 
     supervisor_->run_batch(
@@ -526,7 +506,7 @@ class DistributedRunner : public ShardRunner {
           const std::size_t s = slots[i];
           return make_job(shots_, psf_, wopt_, L_, s, *ctx.doses, ctx.correct,
                           ctx.tol, ctx.allow_optimistic,
-                          /*reset_all=*/self_dirty[s] != 0 || ctx.force_reset,
+                          /*reset_all=*/(*ctx.self_dirty)[s] != 0 || ctx.force_reset,
                           wopt_.resident_shard_budget > 0, session_);
         },
         // Results apply into per-slot cells (disjoint across concurrent
@@ -589,14 +569,17 @@ bool ghosts_dirty(const ShardLayout& L, std::size_t slot,
 
 }  // namespace
 
-wire::ShardResult solve_shard_job(const wire::ShardJob& job,
-                                  std::unique_ptr<ExposureEvaluator>* pool_slot) {
+wire::ShardResult solve_shard_job(wire::ShardJob job,
+                                  std::unique_ptr<ExposureEvaluator>* pool_slot,
+                                  std::vector<double>* errors) {
   const auto t0 = std::chrono::steady_clock::now();
   const Psf psf = Psf::from_terms(job.psf_terms);
   const PecOptions& options = job.options;
   const std::size_t na = job.active.size();
   const std::size_t ng = job.ghosts.size();
   expects(na > 0, "solve_shard_job: shard without active shots");
+  std::vector<double> start(na);  // the job's active doses
+  for (std::size_t k = 0; k < na; ++k) start[k] = job.active[k].dose;
 
   ExposureEvaluator* eval = nullptr;
   std::unique_ptr<ExposureEvaluator> transient;
@@ -610,7 +593,7 @@ wire::ShardResult solve_shard_job(const wire::ShardJob& job,
     perf0 = eval->blur_perf();
     if (job.reset_all) {
       std::vector<double> all(na + ng);
-      for (std::size_t k = 0; k < na; ++k) all[k] = job.active[k].dose;
+      std::copy(start.begin(), start.end(), all.begin());
       for (std::size_t k = 0; k < ng; ++k) all[na + k] = job.ghosts[k].dose;
       eval->reset_doses(all);
     } else {
@@ -619,9 +602,9 @@ wire::ShardResult solve_shard_job(const wire::ShardJob& job,
       eval->set_background_doses(bg);
     }
   } else {
-    ShotList local;
-    local.reserve(na + ng);
-    local.insert(local.end(), job.active.begin(), job.active.end());
+    // The active shots move into the evaluator's list: a ghost-free shard
+    // (the global solve) copies the caller's shots once, not twice.
+    ShotList local = std::move(job.active);
     local.insert(local.end(), job.ghosts.begin(), job.ghosts.end());
     // Centroid queries never leave the shard bbox, so the local long-range
     // map drops its off-pattern sampling margin — on small shards the dead
@@ -638,8 +621,7 @@ wire::ShardResult solve_shard_job(const wire::ShardJob& job,
     if (pool_slot) *pool_slot = std::move(transient);  // granted residency
   }
 
-  std::vector<double> d(na);
-  for (std::size_t k = 0; k < na; ++k) d[k] = job.active[k].dose;
+  std::vector<double> d = start;
 
   const bool delta_mode = options.exposure.delta_threshold > 0;
   wire::ShardResult out;
@@ -649,6 +631,7 @@ wire::ShardResult solve_shard_job(const wire::ShardJob& job,
     double max_err = 0.0;
     for (double ei : e) max_err = std::max(max_err, std::abs(ei / options.target - 1.0));
     if (iter == 0) out.entry_error = max_err;
+    if (errors) errors->push_back(max_err);
     out.exit_error = max_err;
     if (max_err < job.tolerance || !job.correct || iter >= options.max_iterations)
       break;
@@ -675,7 +658,7 @@ wire::ShardResult solve_shard_job(const wire::ShardJob& job,
   for (std::size_t k = 0; k < na; ++k) {
     const double dk = out.optimistic ? d[k] : eval->shots()[k].dose;
     out.doses[k] = dk;
-    if (dk != job.active[k].dose) {
+    if (dk != start[k]) {
       out.updated = true;
       out.changed[k] = 1;
     }
@@ -683,6 +666,53 @@ wire::ShardResult solve_shard_job(const wire::ShardJob& job,
   out.perf = perf_since(eval->blur_perf(), perf0);
   out.solve_ms = ms_since(t0);
   return out;
+}
+
+EvaluatorPool::~EvaluatorPool() = default;
+
+void EvaluatorPool::plan(const std::vector<std::uint64_t>& batch) {
+  for (auto& [key, e] : entries_) e.granted = false;
+  if (budget_ == 0) return;
+  // Stamping the whole batch first marks it: a resident planned at this
+  // tick is never a victim.
+  ++tick_;
+  for (const std::uint64_t key : batch) entries_[key].planned = tick_;
+  std::size_t resident = this->resident();
+  for (const std::uint64_t key : batch) {
+    Entry& e = entries_[key];
+    if (e.eval) continue;
+    if (resident < budget_) {
+      e.granted = true;
+      ++resident;
+      continue;
+    }
+    Entry* victim = nullptr;
+    std::uint64_t victim_key = 0;
+    for (auto& [k, v] : entries_) {
+      if (!v.eval || v.planned == tick_) continue;
+      if (!victim || v.planned < victim->planned ||
+          (v.planned == victim->planned && k > victim_key)) {
+        victim = &v;
+        victim_key = k;
+      }
+    }
+    if (!victim) break;  // every resident is in the batch: the rest run transient
+    victim->eval.reset();
+    ++evictions_;
+    e.granted = true;
+  }
+}
+
+std::unique_ptr<ExposureEvaluator>* EvaluatorPool::slot(std::uint64_t key) {
+  const auto it = entries_.find(key);
+  if (it == entries_.end() || !(it->second.eval || it->second.granted)) return nullptr;
+  return &it->second.eval;
+}
+
+std::uint32_t EvaluatorPool::resident() const {
+  std::uint32_t n = 0;
+  for (const auto& [key, e] : entries_) n += e.eval != nullptr;
+  return n;
 }
 
 std::string default_pec_worker_path() {
@@ -744,30 +774,32 @@ Coord default_shard_size(const Psf& psf, const PecOptions& options) {
   }
 }
 
-PecResult correct_proximity_sharded(const ShotList& shots, const Psf& psf,
-                                    const PecOptions& options) {
-  expects(!shots.empty(), "correct_proximity_sharded: empty shot list");
-  expects(options.shard_size > 0, "correct_proximity_sharded: shard_size must be > 0");
-  expects(options.target > 0, "correct_proximity_sharded: target must be positive");
-  expects(options.max_iterations > 0,
-          "correct_proximity_sharded: need >= 1 iteration");
-  expects(options.halo_factor >= 0,
-          "correct_proximity_sharded: halo_factor must be >= 0");
+PecResult correct_proximity(const ShotList& shots, const Psf& psf,
+                            const PecOptions& options) {
+  expects(!shots.empty(), "correct_proximity: empty shot list");
+  expects(options.target > 0, "correct_proximity: target must be positive");
+  expects(options.max_iterations > 0, "correct_proximity: need >= 1 iteration");
+  expects(options.halo_factor >= 0, "correct_proximity: halo_factor must be >= 0");
 
-  const ShardLayout L = build_layout(shots, options.shard_size,
-                                     options.halo_factor * psf.max_sigma(),
-                                     options.exposure.threads);
+  // Workers imply sharding: with no shard size given, the distributed solve
+  // tiles at the default one rather than shipping the whole pattern to one
+  // worker.
+  const bool distributed = options.worker_count > 0 || !options.worker_hosts.empty();
+  PecOptions opt = options;
+  if (distributed && opt.shard_size == 0) opt.shard_size = default_shard_size(psf, opt);
+  const bool global = opt.shard_size == 0;
+  const ShardLayout L = global ? single_shard_layout(shots.size())
+                               : build_layout(shots, opt.shard_size,
+                                              opt.halo_factor * psf.max_sigma(),
+                                              opt.exposure.threads);
   const std::size_t ns = L.count;
 
   std::vector<double> doses(shots.size());
   for (std::size_t i = 0; i < shots.size(); ++i) doses[i] = shots[i].dose;
 
-  // Warm start (multi-shard only: the single-shard degenerate case is the
-  // bitwise reference against the monolithic solve, and has no frozen halos
-  // for the warm start to stabilize).
-  if (options.density_warm_start && ns > 1) {
-    density_warm_start(shots, psf, options, L, &doses);
-  }
+  // Warm start (multi-shard only: a single shard has no frozen halos for
+  // the warm start to stabilize).
+  if (opt.density_warm_start && ns > 1) density_warm_start(shots, psf, opt, L, &doses);
   std::vector<double> next = doses;
 
   PecResult result;
@@ -777,10 +809,10 @@ PecResult correct_proximity_sharded(const ShotList& shots, const Psf& psf,
   // pec_worker processes speaking the wire format. Both run solve_shard_job
   // on identical jobs, so the choice cannot change a bit of the result.
   std::unique_ptr<ShardRunner> runner;
-  if (options.worker_count > 0 || !options.worker_hosts.empty()) {
-    runner = std::make_unique<DistributedRunner>(shots, psf, options, L);
+  if (distributed) {
+    runner = std::make_unique<DistributedRunner>(shots, psf, opt, L);
   } else {
-    runner = std::make_unique<InProcessRunner>(shots, psf, options, L);
+    runner = std::make_unique<InProcessRunner>(shots, psf, opt, L);
   }
 
   // Correction rounds: every shard solves against the round-start snapshot
@@ -795,36 +827,47 @@ PecResult correct_proximity_sharded(const ShotList& shots, const Psf& psf,
   std::vector<double> exit_err(ns, 0.0);
   std::vector<std::uint8_t> changed_prev(shots.size(), 1);
   std::vector<std::uint8_t> changed_cur(shots.size(), 0);
-  std::vector<std::uint8_t> will_run(ns, 0);
+  std::vector<std::uint64_t> run;
   std::vector<std::uint8_t> self_dirty(ns, 0);
-  const double shard_tol =
-      ns > 1 ? kShardToleranceSlack * options.tolerance : options.tolerance;
-  const int max_rounds = 1 + std::max(0, options.exchange_rounds);
+  // Picks the run set; skipped shards keep their stored error, still exact
+  // because nothing they evaluate against moved.
+  const auto pick_run = [&](const auto& should_run) {
+    run.clear();
+    for (std::size_t s = 0; s < ns; ++s) {
+      if (should_run(s)) {
+        run.push_back(s);
+      } else {
+        outcomes[s] = ShardOutcome{exit_err[s], exit_err[s], 0, false, false, {}};
+      }
+    }
+  };
+  const double shard_tol = ns > 1 ? kShardToleranceSlack * opt.tolerance : opt.tolerance;
+  const int max_rounds = 1 + std::max(0, opt.exchange_rounds);
   bool settled = false;  // a round ran and changed nothing
   int total_iterations = 0;
+  // The global solve's history is its Jacobi convergence curve: the error
+  // at every evaluation of its one shard.
+  std::vector<double> jacobi_errors;
   for (int round = 0; round < max_rounds; ++round) {
     const auto round_t0 = std::chrono::steady_clock::now();
     next = doses;  // skipped shards keep their slots verbatim
     std::fill(changed_cur.begin(), changed_cur.end(), 0);
-    for (std::size_t s = 0; s < ns; ++s) {
-      will_run[s] =
-          round == 0 || self_dirty[s] || ghosts_dirty(L, s, changed_prev);
-      if (!will_run[s])
-        outcomes[s] = ShardOutcome{exit_err[s], exit_err[s], 0, false, false, {}};
-    }
+    pick_run([&](std::size_t s) {
+      return round == 0 || self_dirty[s] || ghosts_dirty(L, s, changed_prev);
+    });
     SweepCtx ctx;
     ctx.correct = true;
     ctx.tol = shard_tol;
     // Optimistic exits are only worth taking while a later round (or the
     // measurement pass) is there to verify them.
     ctx.allow_optimistic = ns > 1;
-    ctx.round = round;
-    ctx.will_run = &will_run;
+    ctx.run = &run;
     ctx.self_dirty = &self_dirty;
     ctx.doses = &doses;
     ctx.next = &next;
     ctx.changed = &changed_cur;
     ctx.outcomes = &outcomes;
+    ctx.errors = global ? &jacobi_errors : nullptr;
     runner->sweep(ctx);
     std::swap(doses, next);  // publish: halos see fresh doses next round
     std::swap(changed_prev, changed_cur);
@@ -838,13 +881,17 @@ PecResult correct_proximity_sharded(const ShotList& shots, const Psf& psf,
       round_err = std::max(round_err, o.entry_error);
       round_iters = std::max(round_iters, o.iterations);
       any_update |= o.updated;
-      if (will_run[s]) {
-        exit_err[s] = o.exit_error;
-        self_dirty[s] = o.optimistic ? 1 : 0;
-      }
       result.blur.merge(o.perf);
     }
-    result.max_error_history.push_back(round_err);
+    for (const std::uint64_t s : run) {
+      exit_err[s] = outcomes[s].exit_error;
+      self_dirty[s] = outcomes[s].optimistic ? 1 : 0;
+    }
+    if (global) {
+      result.max_error_history = jacobi_errors;
+    } else {
+      result.max_error_history.push_back(round_err);
+    }
     total_iterations += round_iters;
     result.round_ms.push_back(ms_since(round_t0));
     if (!any_update) {
@@ -860,8 +907,8 @@ PecResult correct_proximity_sharded(const ShotList& shots, const Psf& psf,
   result.shots = shots;
   for (std::size_t i = 0; i < shots.size(); ++i) result.shots[i].dose = doses[i];
   bool doses_moved = false;
-  if (options.dose_classes > 0) {
-    quantize_doses(result.shots, options.dose_classes);
+  if (opt.dose_classes > 0) {
+    quantize_doses(result.shots, opt.dose_classes);
     for (std::size_t i = 0; i < shots.size(); ++i) {
       doses_moved |= result.shots[i].dose != doses[i];
       doses[i] = result.shots[i].dose;
@@ -871,25 +918,26 @@ PecResult correct_proximity_sharded(const ShotList& shots, const Psf& psf,
   if (settled && !doses_moved) {
     // The last round measured every shard at the final doses already.
     result.final_max_error = result.max_error_history.back();
+  } else if (ns == 1 && !doses_moved) {
+    // One shard sees no other doses: its last evaluation was at the final
+    // doses.
+    result.final_max_error = exit_err[0];
   } else {
     // Measurement-only pass with the delivered doses everywhere, halos
-    // included — comparable to the global corrector's final error up to the
+    // included — comparable to the global solve's final error up to the
     // halo truncation. Shards whose visible doses did not change since their
     // last (verified) evaluation reuse that still-exact error; quantization
     // moves doses globally and forces a full re-measure.
     const auto measure_t0 = std::chrono::steady_clock::now();
-    for (std::size_t s = 0; s < ns; ++s) {
-      will_run[s] = doses_moved || self_dirty[s] || ghosts_dirty(L, s, changed_prev);
-      if (!will_run[s])
-        outcomes[s] = ShardOutcome{exit_err[s], exit_err[s], 0, false, false, {}};
-    }
+    pick_run([&](std::size_t s) {
+      return doses_moved || self_dirty[s] || ghosts_dirty(L, s, changed_prev);
+    });
     SweepCtx ctx;
     ctx.correct = false;
     ctx.tol = shard_tol;
     ctx.allow_optimistic = false;
     ctx.force_reset = doses_moved;
-    ctx.round = result.rounds;
-    ctx.will_run = &will_run;
+    ctx.run = &run;
     ctx.self_dirty = &self_dirty;
     ctx.doses = &doses;
     ctx.next = nullptr;
@@ -909,14 +957,23 @@ PecResult correct_proximity_sharded(const ShotList& shots, const Psf& psf,
   return result;
 }
 
-PecResult correct_proximity_distributed(const ShotList& shots, const Psf& psf,
-                                        const PecOptions& options) {
-  expects(options.worker_count > 0 || !options.worker_hosts.empty(),
-          "correct_proximity_distributed: need worker_count > 0 or "
-          "worker_hosts");
-  PecOptions opt = options;
-  if (opt.shard_size == 0) opt.shard_size = default_shard_size(psf, opt);
-  return correct_proximity_sharded(shots, psf, opt);
+PecResult density_pec(const ShotList& shots, const Psf& psf, const PecOptions& options) {
+  expects(!shots.empty(), "density_pec: empty shot list");
+  PecResult result;
+  result.shots = shots;
+  std::vector<double> doses(shots.size());
+  density_warm_start(shots, psf, options, single_shard_layout(shots.size()), &doses);
+  for (std::size_t i = 0; i < shots.size(); ++i) result.shots[i].dose = doses[i];
+  if (options.dose_classes > 0) quantize_doses(result.shots, options.dose_classes);
+
+  ExposureEvaluator eval(result.shots, psf, options.exposure);
+  double max_err = 0.0;
+  for (double ei : eval.exposures_at_centroids())
+    max_err = std::max(max_err, std::abs(ei / options.target - 1.0));
+  result.final_max_error = max_err;
+  result.iterations = 1;
+  result.max_error_history.push_back(max_err);
+  return result;
 }
 
 }  // namespace ebl

@@ -1,14 +1,15 @@
-// Sharded proximity-effect correction: tile the pattern, correct per shard,
-// exchange halos.
+// The proximity-effect corrector: tile the pattern, correct per shard,
+// exchange halos. correct_proximity (src/pec/correction.h) runs here for
+// every layout, and so does density_pec's dose formula.
 //
-// The monolithic corrector (correct_proximity with shard_size == 0) holds
-// the whole pattern in one evaluator — one neighbor grid, one splat cache,
-// one long-range map — so memory and wall-clock are O(whole pattern). The
-// 1979 machines never worked that way: large patterns are written as a grid
-// of deflection fields with stage moves between them, and correction can be
-// tiled the same way.
+// A global solve (shard_size == 0, no workers) is the degenerate layout:
+// one shard that owns every shot, with no ghosts and no warm start, so the
+// per-shard Jacobi loop below is the whole solve. Its memory is O(pattern).
+// The 1979 machines never worked that way: large patterns are written as a
+// grid of deflection fields with stage moves between them, and correction
+// can be tiled the same way.
 //
-// The sharded pipeline partitions shots into square shards (side =
+// A sharded solve partitions shots into square shards (side =
 // PecOptions::shard_size, anchored at the pattern bbox corner, keyed by
 // 64-bit shard indices so >2^31-dbu extents are fine). Each shard owns the
 // shots whose bbox center falls inside its frame and additionally sees a
@@ -16,8 +17,8 @@
 // halo_factor * max_sigma of the frame. A shard solve is the ordinary
 // iterative Jacobi correction over its own shots with the ghosts
 // contributing exposure at frozen doses (the evaluator's active/background
-// split); per-shard memory is O(shard + halo), so patterns far beyond the
-// global evaluator's reach fit.
+// split); per-shard memory is O(shard + halo), so patterns far beyond one
+// evaluator's reach fit.
 //
 // Shards run concurrently on the thread pool. Cross-shard coupling — a
 // shard's correction changes the backscatter its neighbors see — is driven
@@ -35,14 +36,17 @@
 // set over a pool of worker *processes* instead of pool threads. Jobs and
 // results cross process boundaries in the versioned binary wire format of
 // src/pec/wire.h (bit-exact doses), workers (tools/pec_worker.cpp) keep
-// their own resident evaluator pools and re-enter shards through the exact
+// their own EvaluatorPool and re-enter shards through the exact
 // set_background_doses / reset_doses refresh protocol, and the driver
 // certifies convergence exactly as in-process — so the distributed solve is
 // bitwise-identical to the single-process sharded solve, and worker_count
-// = 0 keeps today's in-process engine as the oracle.
+// = 0 keeps the in-process engine as the oracle.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <unordered_map>
+#include <vector>
 
 #include "pec/correction.h"
 
@@ -71,36 +75,58 @@ Coord default_shard_size(const Psf& psf);
 /// PSFs (no long-range map to pad).
 Coord default_shard_size(const Psf& psf, const PecOptions& options);
 
-/// Sharded iterative correction (see the file comment). Requires
-/// options.shard_size > 0; correct_proximity forwards here when it is.
-/// The returned final_max_error is measured with every shard's *final*
-/// doses in the halos, so it is comparable to the global corrector's figure
-/// up to the halo truncation (< 1e-6 of a term weight at halo_factor = 4).
-PecResult correct_proximity_sharded(const ShotList& shots, const Psf& psf,
-                                    const PecOptions& options);
-
-/// Multi-process sharded correction: requires options.worker_count > 0 and
-/// fills in default_shard_size when shard_size is 0. Spawns the worker pool,
-/// farms each halo-exchange round's shard jobs over it, and produces doses
-/// bitwise-identical to the in-process sharded solve at the same shard
-/// layout. correct_proximity_sharded forwards here implicitly whenever
-/// worker_count > 0.
-PecResult correct_proximity_distributed(const ShotList& shots, const Psf& psf,
-                                        const PecOptions& options);
-
 /// One shard solve from its wire-format job description — THE per-shard
-/// solver: the in-process round sweep, the distributed driver (via a
-/// worker), and tools/pec_worker.cpp all execute shard work through this
-/// single function, which is what makes remote execution bitwise-identical
-/// to in-process execution by construction.
+/// solver: the in-process round sweep (the global solve included), the
+/// distributed driver (via a worker), and tools/pec_worker.cpp all execute
+/// shard work through this single function, which is what makes remote
+/// execution bitwise-identical to in-process execution by construction.
 ///
 /// @p pool_slot: null for a transient solve. Non-null with an evaluator
 /// inside = resident re-entry — the evaluator must hold this shard's
 /// geometry, and is refreshed through reset_doses (job.reset_all) or
 /// set_background_doses, both exact. Non-null and empty = residency grant:
 /// the freshly built evaluator is parked there for the next entry.
-wire::ShardResult solve_shard_job(const wire::ShardJob& job,
-                                  std::unique_ptr<ExposureEvaluator>* pool_slot);
+/// @p errors, when given, receives the max relative error of every
+/// evaluation of the solve, in order.
+wire::ShardResult solve_shard_job(wire::ShardJob job,
+                                  std::unique_ptr<ExposureEvaluator>* pool_slot,
+                                  std::vector<double>* errors = nullptr);
+
+/// LRU pool of resident shard evaluators, keyed by shard key: the one pool
+/// behind the in-process sweep and tools/pec_worker.cpp (which plans a
+/// batch of one job). A resident shard re-enters through the exact refresh
+/// protocol of solve_shard_job, so residency, eviction and the budget never
+/// change a result, only the wall clock.
+class EvaluatorPool {
+ public:
+  explicit EvaluatorPool(std::size_t budget) : budget_(budget) {}
+  ~EvaluatorPool();
+
+  /// Plans residency for a batch about to run, before any of it runs (so
+  /// the pool never depends on scheduling). A key already resident keeps
+  /// its evaluator; any other gets a free place, else the place of the
+  /// least recently planned resident outside the batch (ties: the highest
+  /// key), else none and runs transient. Budget 0 keeps nothing.
+  void plan(const std::vector<std::uint64_t>& batch);
+
+  /// The pool_slot for solve_shard_job: null when the last plan gave @p key
+  /// no place. Safe to call concurrently once plan() returned.
+  std::unique_ptr<ExposureEvaluator>* slot(std::uint64_t key);
+
+  std::uint32_t resident() const;
+  std::uint32_t evictions() const { return evictions_; }
+
+ private:
+  struct Entry {
+    std::unique_ptr<ExposureEvaluator> eval;
+    std::uint64_t planned = 0;  ///< tick of the last plan naming this key
+    bool granted = false;       ///< the last plan gave it a place
+  };
+  std::size_t budget_;
+  std::uint64_t tick_ = 0;
+  std::uint32_t evictions_ = 0;
+  std::unordered_map<std::uint64_t, Entry> entries_;
+};
 
 /// The pec_worker binary the distributed driver spawns when
 /// PecOptions::worker_path is empty: $EBL_PEC_WORKER when set, else

@@ -178,8 +178,7 @@ void WorkerSupervisor::run_batch(std::size_t n, const Prefer& prefer,
           [&](std::size_t i0, std::size_t i1) {
             for (std::size_t k = i0; k < i1; ++k) {
               const std::size_t i = remaining[k];
-              const wire::ShardJob job = make_job(i);
-              apply(i, -1, solve_shard_job(job, nullptr));
+              apply(i, -1, solve_shard_job(make_job(i), nullptr));
               done[i] = 1;
             }
           },

@@ -116,7 +116,7 @@ using TransportFactory = std::function<std::unique_ptr<Transport>(std::size_t sl
 TransportFactory make_pipe_transport_factory(std::vector<std::string> argv);
 
 /// PEC-as-a-service transport: slot i connects to hosts[i % hosts.size()]
-/// and re-handshakes @p session_id (wire v4 Hello). Point each slot at a
+/// and re-handshakes @p session_id (wire Hello). Point each slot at a
 /// distinct daemon — a daemon serves sessions sequentially, so two slots on
 /// one address would serialize. Connect/handshake deadlines come from
 /// resolve_connect_timeout_ms / resolve_heartbeat_ms, read once here.

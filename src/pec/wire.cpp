@@ -111,7 +111,6 @@ void put_options(Writer& w, const PecOptions& o) {
   w.i32(o.max_iterations);
   w.f64(o.tolerance);
   w.f64(o.target);
-  w.f64(o.damping);
   w.f64(o.min_dose);
   w.f64(o.max_dose);
   w.i32(o.dose_classes);
@@ -142,7 +141,6 @@ PecOptions get_options(Reader& r) {
   o.max_iterations = r.i32();
   o.tolerance = r.f64();
   o.target = r.f64();
-  o.damping = r.f64();
   o.min_dose = r.f64();
   o.max_dose = r.f64();
   o.dose_classes = r.i32();

@@ -51,7 +51,9 @@ inline constexpr std::uint32_t kMagic = 0x574C4245;  // "EBLW" little-endian
 /// and the session frames arrived: kHello / kHelloAck (per-connection
 /// re-handshake of a TCP worker daemon) and kPing / kPong (client-side
 /// liveness probes). Exact-match skew rule as ever.
-inline constexpr std::uint32_t kVersion = 4;
+/// v5: PecOptions lost the Jacobi damping factor (updates are undamped), so
+/// a job's options block shrank by 8 payload bytes.
+inline constexpr std::uint32_t kVersion = 5;
 /// Written as-is by every encoder; a reader that sees its bytes reversed is
 /// looking at a stream produced by a writer that did not follow the
 /// little-endian convention (or at garbage) and must reject it.
@@ -107,7 +109,7 @@ struct ShardJob {
   /// renormalization, so the worker's PSF is bit-identical).
   std::vector<PsfTerm> psf_terms;
 
-  /// Solve knobs. The worker honors target/damping/clamps/max_iterations and
+  /// Solve knobs. The worker honors target/clamps/max_iterations and
   /// every ExposureOptions field; resident_shard_budget sizes the worker's
   /// own evaluator pool. worker_count/worker_path are carried for
   /// completeness but ignored by workers (no recursive fan-out).

@@ -8,6 +8,7 @@
 #include "fracture/fracture.h"
 #include "pec/correction.h"
 #include "pec/exposure.h"
+#include "pec_reference.h"
 #include "util/contracts.h"
 
 namespace ebl {
@@ -124,6 +125,25 @@ TEST(Pec, DensityPecAlsoImproves) {
     uncorrected = std::max(uncorrected, std::abs(e - 1.0));
   const PecResult r = density_pec(shots, psf);
   EXPECT_LT(r.final_max_error, uncorrected);
+}
+
+TEST(Pec, DensityPecMatchesTheWholePatternRasterBitwise) {
+  // density_pec takes its doses from the sharded warm start on the
+  // one-shard layout: same raster, pixel, margin, blur and clamp as the
+  // whole-pattern formula, so the doses must agree bit for bit.
+  const Psf psf = Psf::triple_gaussian(50.0, 3000.0, 600.0, 0.7, 0.3);
+  for (const ShotList& shots :
+       {pad_and_island(), fracture(checkerboard(Box{0, 0, 30000, 30000}, 2000),
+                                   {.max_shot_size = 2000})
+                              .shots}) {
+    PecOptions opt;
+    opt.max_dose = 1.5;  // the clamp must bind on the isolated shots
+    const std::vector<double> oracle = reference::density_doses(shots, psf, opt);
+    const PecResult r = density_pec(shots, psf, opt);
+    ASSERT_EQ(r.shots.size(), oracle.size());
+    for (std::size_t i = 0; i < oracle.size(); ++i)
+      EXPECT_EQ(r.shots[i].dose, oracle[i]) << "shot " << i;
+  }
 }
 
 TEST(Pec, DoseClampRespected) {

@@ -12,6 +12,7 @@
 #include "fracture/fracture.h"
 #include "pec/correction.h"
 #include "pec/exposure.h"
+#include "pec_reference.h"
 
 namespace ebl {
 namespace {
@@ -403,7 +404,7 @@ TEST(Corrector, DeltaModeConvergesToTheSameToleranceContract) {
   PecOptions oracle_opt = opt;
   oracle_opt.exposure.delta_threshold = 0.0;
   oracle_opt.exposure.fast_erf = false;
-  const PecResult oracle = correct_proximity(shots, psf, oracle_opt);
+  const PecResult oracle = reference::correct_proximity(shots, psf, oracle_opt);
   EXPECT_LT(with_delta.final_max_error, opt.tolerance);
   EXPECT_LT(oracle.final_max_error, opt.tolerance);
   // Same contract, nearly the same doses: deviations bounded by the update

@@ -11,7 +11,7 @@
 //     liveness story, never a numerics story;
 //   - a daemon that dies for good consumes the restart budget via refused
 //     reconnects and the solve degrades to in-process, bitwise-identical;
-//   - the wire-v4 session protocol behaves: HelloAck reports the replay
+//   - the wire session protocol behaves: HelloAck reports the replay
 //     high-water mark, duplicate seqs replay byte-identical cached frames,
 //     a protocol version mismatch is rejected without killing the daemon;
 //   - SIGTERM is graceful (exit 0) in both stdio and daemon mode.
@@ -320,7 +320,7 @@ TEST(PecNet, DeadDaemonExhaustsBudgetAndDegradesBitwise) {
   expect_bitwise(dist, local);
 }
 
-// ---- The wire-v4 session protocol, exercised by hand ----
+// ---- The wire session protocol, exercised by hand ----
 
 // A small but real job the daemon can actually solve.
 wire::ShardJob tiny_job(std::uint64_t session, std::uint64_t seq) {

@@ -11,6 +11,7 @@
 #include "pec/correction.h"
 #include "pec/exposure.h"
 #include "pec/sharded.h"
+#include "pec_reference.h"
 
 namespace ebl {
 namespace {
@@ -86,7 +87,7 @@ TEST(ShardedPec, MatchesGlobalOnShardSpanningPattern) {
   opt.max_iterations = 30;
   opt.tolerance = 1e-4;  // drive both solvers to the shared fixed point
 
-  const PecResult global = correct_proximity(shots, psf, opt);
+  const PecResult global = reference::correct_proximity(shots, psf, opt);
 
   PecOptions sopt = opt;
   sopt.shard_size = 30000;
@@ -132,25 +133,35 @@ TEST(ShardedPec, MeetsToleranceAtEveryRepresentativePoint) {
 }
 
 TEST(ShardedPec, SingleShardMatchesGlobalBitwise) {
-  // Shard larger than the pattern: the sharded pipeline degenerates to one
-  // shard with no ghosts and must reproduce the monolithic solve exactly.
-  const ShotList shots = dense_grid_shots(20000);
+  // The global solve is the engine's one-shard layout with no ghosts and no
+  // warm start; it must reproduce the whole-pattern oracle exactly, at any
+  // thread count and through quantization.
+  const ShotList shots = dense_grid_shots(60000);
   const Psf psf = test_psf();
   PecOptions opt;
   opt.max_iterations = 6;
   opt.tolerance = 0.005;
-  const PecResult global = correct_proximity(shots, psf, opt);
-  PecOptions sopt = opt;
-  sopt.shard_size = 1000000;
-  const PecResult sharded = correct_proximity(shots, psf, sopt);
-  EXPECT_EQ(sharded.shards, 1);
-  ASSERT_EQ(sharded.shots.size(), global.shots.size());
-  for (std::size_t i = 0; i < global.shots.size(); ++i)
-    EXPECT_EQ(sharded.shots[i].dose, global.shots[i].dose) << "shot " << i;
-  // Doses are bitwise-equal (same Jacobi sequence on the same evaluator
-  // state); the final error differs only by the measurement pass's direct
-  // double-precision rasterization vs the oracle's float-frac splat cache.
-  EXPECT_NEAR(sharded.final_max_error, global.final_max_error, 1e-5);
+  const PecResult oracle = reference::correct_proximity(shots, psf, opt);
+  for (const int threads : {1, 4}) {
+    PecOptions topt = opt;
+    topt.exposure.threads = threads;
+    const PecResult global = correct_proximity(shots, psf, topt);
+    EXPECT_EQ(global.shards, 1);
+    ASSERT_EQ(global.shots.size(), oracle.shots.size());
+    for (std::size_t i = 0; i < oracle.shots.size(); ++i)
+      EXPECT_EQ(global.shots[i].dose, oracle.shots[i].dose)
+          << "threads " << threads << " shot " << i;
+    EXPECT_EQ(global.final_max_error, oracle.final_max_error) << "threads " << threads;
+  }
+
+  PecOptions qopt = opt;
+  qopt.dose_classes = 16;
+  const PecResult qoracle = reference::correct_proximity(shots, psf, qopt);
+  const PecResult quantized = correct_proximity(shots, psf, qopt);
+  ASSERT_EQ(quantized.shots.size(), qoracle.shots.size());
+  for (std::size_t i = 0; i < qoracle.shots.size(); ++i)
+    EXPECT_EQ(quantized.shots[i].dose, qoracle.shots[i].dose) << "shot " << i;
+  EXPECT_EQ(quantized.final_max_error, qoracle.final_max_error);
 }
 
 TEST(ShardedPec, BitIdenticalAcrossThreadCounts) {
@@ -260,6 +271,65 @@ TEST(ShardedPec, RespectsDoseClampAndQuantization) {
   // Quantization moved doses after the last correction round, so the final
   // error must have been re-measured (history ends with the measured value).
   EXPECT_DOUBLE_EQ(r.max_error_history.back(), r.final_max_error);
+}
+
+// The shared LRU pool of the in-process sweep and pec_worker, driven with
+// hand-placed evaluators: what plan() keeps, what it evicts, and in which
+// order.
+TEST(EvaluatorPool, EvictsLeastRecentlyPlannedOutsideTheBatch) {
+  const ShotList one = {Shot{{0, 1000, 0, 1000, 0, 1000}, 1.0}};
+  const Psf psf = test_psf();
+  auto fill = [&](EvaluatorPool& pool, std::uint64_t key) {
+    std::unique_ptr<ExposureEvaluator>* slot = pool.slot(key);
+    ASSERT_NE(slot, nullptr) << "key " << key;
+    if (!*slot) *slot = std::make_unique<ExposureEvaluator>(one, psf);
+  };
+  auto resident = [](EvaluatorPool& pool, std::uint64_t key) {
+    std::unique_ptr<ExposureEvaluator>* slot = pool.slot(key);
+    return slot != nullptr && *slot != nullptr;
+  };
+
+  // Least recently used goes first.
+  EvaluatorPool lru(2);
+  for (const std::uint64_t key : {1, 2}) {
+    lru.plan({key});
+    fill(lru, key);
+  }
+  lru.plan({1});  // 1 is now more recent than 2
+  lru.plan({3});
+  fill(lru, 3);
+  EXPECT_TRUE(resident(lru, 1));
+  EXPECT_FALSE(resident(lru, 2));
+  EXPECT_TRUE(resident(lru, 3));
+  EXPECT_EQ(lru.resident(), 2u);
+  EXPECT_EQ(lru.evictions(), 1u);
+
+  // Ties (planned in the same batch) go to the highest key.
+  EvaluatorPool ties(2);
+  ties.plan({4, 5});
+  fill(ties, 4);
+  fill(ties, 5);
+  ties.plan({6});
+  fill(ties, 6);
+  EXPECT_TRUE(resident(ties, 4));
+  EXPECT_FALSE(resident(ties, 5));
+  EXPECT_EQ(ties.evictions(), 1u);
+
+  // A shard in the current batch is never the victim: over budget, the
+  // newcomer runs transient instead.
+  EvaluatorPool busy(1);
+  busy.plan({7});
+  fill(busy, 7);
+  busy.plan({7, 8});
+  EXPECT_TRUE(resident(busy, 7));
+  EXPECT_EQ(busy.slot(8), nullptr);
+  EXPECT_EQ(busy.evictions(), 0u);
+
+  // Budget 0 keeps nothing.
+  EvaluatorPool none(0);
+  none.plan({9});
+  EXPECT_EQ(none.slot(9), nullptr);
+  EXPECT_EQ(none.resident(), 0u);
 }
 
 }  // namespace

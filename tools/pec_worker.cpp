@@ -2,32 +2,31 @@
 // PEC pipeline (src/pec/sharded.cpp).
 //
 // Reads shard jobs in the versioned binary wire format (src/pec/wire.h)
-// from a pipe or file, runs each per-shard Jacobi solve through the same
-// solve_shard_job the in-process sweep uses — so a remote solve is
+// from stdin or a TCP session, runs each per-shard Jacobi solve through the
+// same solve_shard_job the in-process sweep uses — so a remote solve is
 // bitwise-identical to a local one — and writes results back. Exits 0 on
 // clean EOF at a frame boundary; any protocol violation or solve failure is
 // reported on stderr and exits nonzero, which the driver surfaces as a
 // DataError.
 //
 // The worker is stateless across jobs except for its resident evaluator
-// pool: evaluators are kept per shard key (LRU-evicted over the budget) and
-// re-entered through the exact set_background_doses / reset_doses refresh
-// protocol the job's flags select, so residency changes wall clock but
-// never a bit of the doses. A session tag in each job drops the pool when a
-// long-lived worker starts seeing a different solve.
+// pool: the driver's EvaluatorPool (src/pec/sharded.h), planned one job at
+// a time over the job's resident_shard_budget, re-entering shards through
+// the exact set_background_doses / reset_doses refresh protocol the job's
+// flags select, so residency changes wall clock but never a bit of the
+// doses. A session tag in each job drops the pool when a long-lived worker
+// starts seeing a different solve.
 //
 // Usage:
-//   pec_worker [--jobs PATH] [--results PATH] [--listen HOST:PORT]
-//              [--pool-budget N] [--fault PLAN]
+//   pec_worker [--listen HOST:PORT] [--fault PLAN]
 //
-//   --jobs PATH      read jobs from PATH instead of stdin
-//   --results PATH   write results to PATH instead of stdout
+//   (no flag)        stdio worker: jobs on stdin, results on stdout
 //   --listen H:P     PEC as a service: run as a TCP daemon instead of a
 //                    stdio worker. Binds H:P (port 0 = ephemeral; the real
 //                    port is printed to stdout as
 //                    "pec_worker: listening on N") and serves one client
 //                    connection at a time. Each connection re-handshakes a
-//                    driver session (wire v4 Hello/HelloAck, exact protocol
+//                    driver session (wire Hello/HelloAck, exact protocol
 //                    version match); the resident evaluator pool is keyed by
 //                    the jobs' session tag, so a reconnecting driver finds
 //                    its pool still warm. Sequenced jobs (seq != 0) feed a
@@ -38,9 +37,6 @@
 //                    the cache is a work saver, never a correctness need).
 //                    A connection-level protocol error ends that session
 //                    (logged) and the daemon keeps accepting.
-//   --pool-budget N  cap the resident evaluator pool at N evaluators,
-//                    overriding each job's resident_shard_budget (manual /
-//                    debugging use; the driver sizes pools via the job)
 //   --fault PLAN     fault-injection plan (testing the supervisor; see below)
 //
 // Graceful shutdown (both modes): SIGTERM / SIGINT request a stop. The
@@ -77,11 +73,11 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
+#include <utility>
 
-#include <fcntl.h>
 #include <poll.h>
 #include <unistd.h>
 
@@ -131,76 +127,37 @@ bool wait_readable_or_stop(int fd) {
   }
 }
 
-struct PoolEntry {
-  std::unique_ptr<ExposureEvaluator> eval;
-  std::size_t active_count = 0;
-  std::size_t ghost_count = 0;
-  std::uint64_t last_used = 0;
-};
-
-// Resident evaluators keyed by shard key. Exact-refresh re-entry requires
+// The worker's resident evaluators: one EvaluatorPool per driver session,
+// each job planned as a batch of one. Exact-refresh re-entry requires
 // identical geometry; within a session the driver guarantees it, and the
-// count check below catches a mismatched stream defensively (rebuilding is
+// shot-count check catches a mismatched stream defensively (rebuilding is
 // always correct, just slower).
-class EvaluatorPool {
+class WorkerPool {
  public:
-  /// The slot for this job's shard, or null when pooling is off. An entry
-  /// whose recorded geometry does not match the job is dropped first.
-  std::unique_ptr<ExposureEvaluator>* slot_for(const wire::ShardJob& job,
-                                               int budget) {
+  /// The slot for this job's shard, or null when the job asks for no pool.
+  std::unique_ptr<ExposureEvaluator>* slot_for(const wire::ShardJob& job) {
+    const int budget = job.options.resident_shard_budget;
     if (budget <= 0) return nullptr;
-    if (job.session_id != session_) {
-      entries_.clear();
+    if (!pool_ || job.session_id != session_) {
+      pool_.emplace(static_cast<std::size_t>(budget));
       session_ = job.session_id;
     }
-    PoolEntry& e = entries_[job.shard_key];
-    if (e.eval && (e.active_count != job.active.size() ||
-                   e.ghost_count != job.ghosts.size())) {
-      e.eval.reset();
+    pool_->plan({job.shard_key});
+    std::unique_ptr<ExposureEvaluator>* slot = pool_->slot(job.shard_key);
+    if (slot && *slot &&
+        ((*slot)->active_count() != job.active.size() ||
+         (*slot)->shots().size() != job.active.size() + job.ghosts.size())) {
+      slot->reset();
     }
-    e.active_count = job.active.size();
-    e.ghost_count = job.ghosts.size();
-    return &e.eval;
+    return slot;
   }
 
-  /// Post-job bookkeeping: stamp recency and evict LRU residents (never the
-  /// just-used shard) until the pool fits the budget.
-  void settle(std::uint64_t shard_key, int budget) {
-    entries_[shard_key].last_used = ++tick_;
-    for (;;) {
-      std::size_t resident = 0;
-      std::uint64_t victim = 0;
-      std::uint64_t victim_used = 0;
-      bool have_victim = false;
-      for (const auto& [key, e] : entries_) {
-        if (!e.eval) continue;
-        ++resident;
-        if (key == shard_key) continue;
-        if (!have_victim || e.last_used < victim_used ||
-            (e.last_used == victim_used && key > victim)) {
-          have_victim = true;
-          victim = key;
-          victim_used = e.last_used;
-        }
-      }
-      if (resident <= static_cast<std::size_t>(budget) || !have_victim) return;
-      entries_[victim].eval.reset();
-      ++evictions_;
-    }
-  }
-
-  std::uint32_t resident() const {
-    std::uint32_t n = 0;
-    for (const auto& [key, e] : entries_) n += e.eval != nullptr;
-    return n;
-  }
-  std::uint32_t evictions() const { return evictions_; }
+  std::uint32_t resident() const { return pool_ ? pool_->resident() : 0; }
+  std::uint32_t evictions() const { return pool_ ? pool_->evictions() : 0; }
 
  private:
-  std::unordered_map<std::uint64_t, PoolEntry> entries_;
+  std::optional<EvaluatorPool> pool_;
   std::uint64_t session_ = 0;
-  std::uint64_t tick_ = 0;
-  std::uint32_t evictions_ = 0;
 };
 
 // Parsed fault-injection plan (see the file comment). A count of UINT64_MAX
@@ -294,9 +251,8 @@ class ReplayCache {
 // replay dedup (daemon mode), solve, fault hooks, answer. Shared verbatim
 // by the stdio loop and the daemon session loop so both modes serve the
 // identical solve with the identical fault-injection surface.
-void serve_job(const wire::Frame& frame, int results_fd, EvaluatorPool& pool,
-               ReplayCache* replay, int budget_override, const FaultPlan& fault,
-               std::uint64_t& served) {
+void serve_job(const wire::Frame& frame, int results_fd, WorkerPool& pool,
+               ReplayCache* replay, const FaultPlan& fault, std::uint64_t& served) {
   if (served == fault.crash_after) {
     std::cerr << "pec_worker: injected crash after " << served << " job(s)\n";
     std::_Exit(3);
@@ -305,7 +261,7 @@ void serve_job(const wire::Frame& frame, int results_fd, EvaluatorPool& pool,
     std::cerr << "pec_worker: injected hang after " << served << " job(s)\n";
     for (;;) std::this_thread::sleep_for(std::chrono::hours(1));
   }
-  const wire::ShardJob job = wire::decode_shard_job(frame.payload);
+  wire::ShardJob job = wire::decode_shard_job(frame.payload);
   if (replay && job.seq != 0) {
     if (const std::string* cached = replay->lookup(job.session_id, job.seq)) {
       // Duplicate delivery after a reconnect: answer with the cached frame,
@@ -316,16 +272,15 @@ void serve_job(const wire::Frame& frame, int results_fd, EvaluatorPool& pool,
       return;
     }
   }
-  const int budget =
-      budget_override >= 0 ? budget_override : job.options.resident_shard_budget;
-
-  wire::ShardResult result = solve_shard_job(job, pool.slot_for(job, budget));
-  if (budget > 0) pool.settle(job.shard_key, budget);
+  const std::uint64_t session_id = job.session_id;
+  const std::uint64_t seq = job.seq;
+  std::unique_ptr<ExposureEvaluator>* slot = pool.slot_for(job);
+  wire::ShardResult result = solve_shard_job(std::move(job), slot);
   result.pool_resident = pool.resident();
   result.pool_evictions = pool.evictions();
   const std::string msg =
       wire::encode_framed(wire::MsgType::kShardResult, wire::encode(result));
-  if (replay && job.seq != 0) replay->store(job.session_id, job.seq, msg);
+  if (replay && seq != 0) replay->store(session_id, seq, msg);
   if (served == fault.truncate_after) {
     // Half a result frame, then death: the driver's reader must see a
     // mid-record EOF (or a deadline), never a plausible partial result.
@@ -352,23 +307,22 @@ void serve_job(const wire::Frame& frame, int results_fd, EvaluatorPool& pool,
   ++served;
 }
 
-int run(int jobs_fd, int results_fd, int budget_override, const FaultPlan& fault) {
+int run(const FaultPlan& fault) {
   if (fault.slow_start_ms > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(fault.slow_start_ms));
   }
-  EvaluatorPool pool;
+  WorkerPool pool;
   wire::Frame frame;
   std::uint64_t served = 0;
   for (;;) {
-    if (!wait_readable_or_stop(jobs_fd)) {
+    if (!wait_readable_or_stop(STDIN_FILENO)) {
       std::cerr << "pec_worker: stop signal; exiting at a frame boundary\n";
       break;
     }
-    if (!wire::read_frame(jobs_fd, &frame)) break;
+    if (!wire::read_frame(STDIN_FILENO, &frame)) break;
     if (frame.type != wire::MsgType::kShardJob)
       throw DataError("pec_worker: expected a shard job frame");
-    serve_job(frame, results_fd, pool, /*replay=*/nullptr, budget_override,
-              fault, served);
+    serve_job(frame, STDOUT_FILENO, pool, /*replay=*/nullptr, fault, served);
   }
   std::cerr << "pec_worker: served " << served << " job(s), "
             << pool.resident() << " evaluator(s) resident, "
@@ -379,8 +333,7 @@ int run(int jobs_fd, int results_fd, int budget_override, const FaultPlan& fault
 // One accepted connection = one session: Hello handshake, then jobs and
 // pings until the client half-closes (clean end) or a stop is requested.
 // Throws on protocol violations — the caller logs and keeps accepting.
-void serve_session(net::TcpSocket& sock, EvaluatorPool& pool,
-                   ReplayCache& replay, int budget_override,
+void serve_session(net::TcpSocket& sock, WorkerPool& pool, ReplayCache& replay,
                    const FaultPlan& fault, std::uint64_t& served) {
   const int fd = sock.fd();
   wire::Frame frame;
@@ -411,12 +364,11 @@ void serve_session(net::TcpSocket& sock, EvaluatorPool& pool,
     }
     if (frame.type != wire::MsgType::kShardJob)
       throw DataError("pec_worker: expected a shard job frame");
-    serve_job(frame, fd, pool, &replay, budget_override, fault, served);
+    serve_job(frame, fd, pool, &replay, fault, served);
   }
 }
 
-int run_daemon(const net::HostPort& addr, int budget_override,
-               const FaultPlan& fault) {
+int run_daemon(const net::HostPort& addr, const FaultPlan& fault) {
   net::TcpListener listener = net::TcpListener::bind(addr.host, addr.port);
   // The one line a spawning test/driver parses — flushed so it arrives even
   // through a pipe.
@@ -431,7 +383,7 @@ int run_daemon(const net::HostPort& addr, int budget_override,
   // ACROSS them — that is the whole point of the daemon: a driver that
   // reconnects (same session tag) finds its evaluators warm and its served
   // jobs replayable.
-  EvaluatorPool pool;
+  WorkerPool pool;
   ReplayCache replay;
   std::uint64_t served = 0;
   std::uint64_t sessions = 0;
@@ -441,7 +393,7 @@ int run_daemon(const net::HostPort& addr, int budget_override,
     if (!client) continue;  // slice expired; re-check the stop flag
     ++sessions;
     try {
-      serve_session(*client, pool, replay, budget_override, fault, served);
+      serve_session(*client, pool, replay, fault, served);
     } catch (const std::exception& e) {
       // A broken client (or a fault-injection proxy doing its job) costs
       // that session only; the daemon keeps accepting.
@@ -457,64 +409,28 @@ int run_daemon(const net::HostPort& addr, int budget_override,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string jobs_path;
-  std::string results_path;
   std::string listen_spec;
-  int budget_override = -1;
   const char* fault_env = std::getenv("EBL_FAULT_PLAN");
   std::string fault_spec = fault_env ? fault_env : "";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
-    if (arg == "--jobs" && has_value) {
-      jobs_path = argv[++i];
-    } else if (arg == "--results" && has_value) {
-      results_path = argv[++i];
-    } else if (arg == "--listen" && has_value) {
+    if (arg == "--listen" && has_value) {
       listen_spec = argv[++i];
-    } else if (arg == "--pool-budget" && has_value) {
-      budget_override = std::atoi(argv[++i]);
     } else if (arg == "--fault" && has_value) {
       fault_spec = argv[++i];  // the flag beats the environment
     } else {
-      std::cerr << "usage: pec_worker [--jobs PATH] [--results PATH]"
-                   " [--listen HOST:PORT] [--pool-budget N] [--fault PLAN]\n";
+      std::cerr << "usage: pec_worker [--listen HOST:PORT] [--fault PLAN]\n";
       return 2;
     }
   }
 
   install_stop_handlers();
 
-  if (!listen_spec.empty()) {
-    try {
-      return run_daemon(net::parse_host_port(listen_spec), budget_override,
-                        FaultPlan::parse(fault_spec));
-    } catch (const std::exception& e) {
-      std::cerr << "pec_worker: " << e.what() << "\n";
-      return 1;
-    }
-  }
-
-  int jobs_fd = STDIN_FILENO;
-  int results_fd = STDOUT_FILENO;
-  if (!jobs_path.empty()) {
-    jobs_fd = ::open(jobs_path.c_str(), O_RDONLY);
-    if (jobs_fd < 0) {
-      std::cerr << "pec_worker: cannot open jobs file: " << jobs_path << "\n";
-      return 2;
-    }
-  }
-  if (!results_path.empty()) {
-    results_fd = ::open(results_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (results_fd < 0) {
-      std::cerr << "pec_worker: cannot open results file: " << results_path << "\n";
-      return 2;
-    }
-  }
-
   try {
-    return run(jobs_fd, results_fd, budget_override,
-               FaultPlan::parse(fault_spec));
+    const FaultPlan fault = FaultPlan::parse(fault_spec);
+    return listen_spec.empty() ? run(fault)
+                               : run_daemon(net::parse_host_port(listen_spec), fault);
   } catch (const std::exception& e) {
     std::cerr << "pec_worker: " << e.what() << "\n";
     return 1;
